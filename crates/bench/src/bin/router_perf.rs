@@ -1,7 +1,7 @@
 //! Scripted perf run for the sharded admission engine: measures churn
 //! epochs on a production-scale live set (3072 transactions, 384
 //! interference islands) under the single `AdmissionController` vs the
-//! sharded `AdmissionRouter`, and writes the result to
+//! sharded `SchedService`, and writes the result to
 //! `BENCH_router.json`. Run via `scripts/bench_router.sh` or directly:
 //!
 //! ```sh
@@ -26,7 +26,7 @@ use hsched_admission::gen::random_scenario;
 use hsched_admission::{AdmissionController, AdmissionPolicy, AdmissionRequest};
 use hsched_analysis::AnalysisConfig;
 use hsched_bench::router_churn::{churn_spec, toggle_batch, victims};
-use hsched_engine::{AdmissionRouter, EngineRequest};
+use hsched_engine::{EngineRequest, SchedService};
 use hsched_transaction::Transaction;
 use std::time::Instant;
 
@@ -84,9 +84,8 @@ fn main() {
     }
     let shards;
     {
-        let mut engine =
-            AdmissionRouter::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
-                .expect("seed analysis succeeds");
+        let engine = SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
+            .expect("seed analysis succeeds");
         shards = engine.shard_count();
         assert!(shards >= 4, "workload must span ≥4 islands, got {shards}");
         sharded_us = [1usize, 4]
@@ -94,7 +93,7 @@ fn main() {
             .map(|&chunk| {
                 run_epochs(&victims, chunk, |batch| {
                     engine
-                        .commit(&EngineRequest::batch(batch))
+                        .submit(&EngineRequest::batch(batch))
                         .expect("engine ok")
                         .outcome
                         .verdict

@@ -3,8 +3,8 @@
 //! (3072 transactions, 384 clusters / ~410 interference islands — the
 //! `BENCH_router.json` configuration) with 8 client threads submitting
 //! disjoint-island toggle batches through `SchedService::submit(&self)`,
-//! against the same epoch stream pushed one-at-a-time through the serial
-//! `AdmissionRouter` front end. Writes `BENCH_service.json`. Run via
+//! against the same epoch stream pushed one-at-a-time through a serial
+//! front end (one client thread, pipeline depth 1). Writes `BENCH_service.json`. Run via
 //! `scripts/bench_service.sh` or directly:
 //!
 //! ```sh
@@ -35,7 +35,7 @@ use hsched_admission::gen::random_scenario;
 use hsched_admission::{AdmissionPolicy, AdmissionRequest};
 use hsched_analysis::AnalysisConfig;
 use hsched_bench::router_churn::{churn_spec, smallest_island_victims};
-use hsched_engine::{AdmissionRouter, EngineRequest, SchedService};
+use hsched_engine::{EngineRequest, SchedService};
 use hsched_transaction::Transaction;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -75,23 +75,24 @@ fn main() {
     assert_eq!(chosen.len(), CLIENTS, "one disjoint island per client");
     let total_epochs = CLIENTS * EPOCHS_PER_CLIENT;
 
-    // Serial front end: the exclusive-borrow AdmissionRouter, one epoch at
-    // a time, journal attached (fsync inside the epoch path).
+    // Serial front end: one client thread at pipeline depth 1, one epoch
+    // at a time, journal attached (fsync inside the epoch path).
     let serial_journal = temp_journal("serial");
-    let mut serial = AdmissionRouter::new(
+    let serial = SchedService::new(
         set.clone(),
         AnalysisConfig::default(),
         AdmissionPolicy::default(),
     )
     .expect("seed analysis succeeds")
+    .with_max_inflight(1)
     .with_journal(&serial_journal)
     .expect("journal attaches");
-    let run_serial = |serial: &mut AdmissionRouter, rounds: usize| -> f64 {
+    let run_serial = |serial: &SchedService, rounds: usize| -> f64 {
         let start = Instant::now();
         for round in 0..rounds {
             for victim in &chosen {
                 let response = serial
-                    .commit(&EngineRequest::batch(toggle(victim, round)))
+                    .submit(&EngineRequest::batch(toggle(victim, round)))
                     .expect("engine ok");
                 assert!(response.outcome.verdict.admitted(), "serial epoch rejected");
             }
@@ -172,14 +173,14 @@ fn main() {
     // fairly; report each engine's best pass. The serial leg's total wall
     // time (warm-up included) is kept: the engine's phase histograms span
     // its whole life, so the coverage check below needs the same span.
-    let mut serial_wall_s = run_serial(&mut serial, 2);
+    let mut serial_wall_s = run_serial(&serial, 2);
     run_concurrent(2);
     run_pipelined(2);
     let mut serial_eps = 0f64;
     let mut service_eps = 0f64;
     let mut pipelined_eps = 0f64;
     for _ in 0..PASSES {
-        let serial_pass_s = run_serial(&mut serial, EPOCHS_PER_CLIENT);
+        let serial_pass_s = run_serial(&serial, EPOCHS_PER_CLIENT);
         serial_wall_s += serial_pass_s;
         serial_eps = serial_eps.max(total_epochs as f64 / serial_pass_s);
         service_eps = service_eps.max(total_epochs as f64 / run_concurrent(EPOCHS_PER_CLIENT));

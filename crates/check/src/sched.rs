@@ -151,7 +151,6 @@ pub(crate) enum Status {
 pub(crate) struct Held {
     pub lock: usize,
     pub class: LockClass,
-    pub write: bool,
 }
 
 pub(crate) struct ModelThread {
@@ -433,15 +432,6 @@ impl Execution {
         if class.major == UNRANKED {
             return;
         }
-        if let Some(em) = class.exempt_under_write {
-            if g.threads[me]
-                .held
-                .iter()
-                .any(|h| h.write && h.class.major == em)
-            {
-                return;
-            }
-        }
         let schedule = Self::schedule_string(g);
         let mut found: Vec<Report> = Vec::new();
         for h in &g.threads[me].held {
@@ -450,8 +440,7 @@ impl Execution {
             }
             let violation = h.lock == id
                 || h.class.major > class.major
-                || (h.class.major == class.major
-                    && (class.at_most_one || class.minor <= h.class.minor));
+                || (h.class.major == class.major && class.minor <= h.class.minor);
             if violation {
                 found.push(Report::LockOrder {
                     thread: me,
@@ -479,11 +468,7 @@ impl Execution {
                 let lc = g.locks[id].clock.clone();
                 let class = g.locks[id].class.clone();
                 g.threads[me].clock.join(&lc);
-                g.threads[me].held.push(Held {
-                    lock: id,
-                    class,
-                    write: true,
-                });
+                g.threads[me].held.push(Held { lock: id, class });
                 return;
             }
             g.threads[me].status = Status::Blocked(BlockedOn::Lock(id));
@@ -503,11 +488,7 @@ impl Execution {
                 let lc = g.locks[id].clock.clone();
                 let class = g.locks[id].class.clone();
                 g.threads[me].clock.join(&lc);
-                g.threads[me].held.push(Held {
-                    lock: id,
-                    class,
-                    write: true,
-                });
+                g.threads[me].held.push(Held { lock: id, class });
                 return;
             }
             g.threads[me].status = Status::Blocked(BlockedOn::Write(id));
@@ -526,11 +507,7 @@ impl Execution {
                 let lc = g.locks[id].clock.clone();
                 let class = g.locks[id].class.clone();
                 g.threads[me].clock.join(&lc);
-                g.threads[me].held.push(Held {
-                    lock: id,
-                    class,
-                    write: false,
-                });
+                g.threads[me].held.push(Held { lock: id, class });
                 return;
             }
             g.threads[me].status = Status::Blocked(BlockedOn::Read(id));

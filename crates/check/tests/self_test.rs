@@ -224,48 +224,6 @@ fn condvar_wait_holding_second_lock_is_reported() {
 }
 
 #[test]
-fn at_most_one_class_rejects_two_members_held_together() {
-    let stats = explore(&quick(), || {
-        let cell_a = Mutex::with_class(LockClass::ranked("slot cell", 4, 0).singular(), ());
-        let cell_b = Mutex::with_class(LockClass::ranked("slot cell", 4, 1).singular(), ());
-        let _a = cell_a.lock().unwrap();
-        let _b = cell_b.lock().unwrap();
-    });
-    assert!(
-        stats
-            .reports
-            .iter()
-            .any(|r| matches!(r, Report::LockOrder { .. })),
-        "two transient cells held together must be reported: {stats:?}"
-    );
-}
-
-#[test]
-fn exempt_under_write_allows_cells_under_the_table_write_lock() {
-    let stats = explore(&quick(), || {
-        let table = RwLock::with_class(LockClass::ranked("slot table", 3, 0), ());
-        let cell_a = Mutex::with_class(
-            LockClass::ranked("slot cell", 4, 0)
-                .singular()
-                .exempt_under_write(3),
-            (),
-        );
-        let cell_b = Mutex::with_class(
-            LockClass::ranked("slot cell", 4, 1)
-                .singular()
-                .exempt_under_write(3),
-            (),
-        );
-        let _w = table.write().unwrap();
-        // Under the table's write lock the whole slot vector is private
-        // to this thread; holding several cells is safe and exempt.
-        let _a = cell_a.lock().unwrap();
-        let _b = cell_b.lock().unwrap();
-    });
-    assert!(stats.reports.is_empty(), "reports: {:?}", stats.reports);
-}
-
-#[test]
 fn thread_panic_is_reported_not_hung() {
     let stats = explore(&quick(), || {
         let cell = Mutex::new(0u32);

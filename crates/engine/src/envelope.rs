@@ -109,7 +109,7 @@ impl EngineRequest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochTimings {
     /// Reserve phase excluding routing and checkout: admission gate,
-    /// stripe locking, and any contention retries.
+    /// core locking, conflict waits and drains.
     pub reserve_ns: u64,
     /// Routing the batch to its shard slots.
     pub route_ns: u64,

@@ -32,8 +32,6 @@
 //!   rejected, so the epoch counter and shard topology replay exactly) is
 //!   appended — and group-commit synced — before the response returns;
 //!   torn tails are repaired, and replay streams records in O(1) memory.
-//! * **Single-threaded facade** — [`AdmissionRouter`] keeps the PR-3
-//!   exclusive-borrow API as a thin wrapper for one-client callers.
 //!
 //! # Example
 //!
@@ -96,11 +94,9 @@ mod digest;
 mod envelope;
 mod journal;
 mod metrics;
-mod router;
 mod routing;
 mod service;
 mod snapshot;
-mod stripes;
 mod sync;
 
 pub use envelope::{
@@ -112,7 +108,6 @@ pub use journal::{
     JournalEpoch, JournalStream, JournalSubscriber, JournalWriter,
 };
 pub use metrics::EngineMetrics;
-pub use router::AdmissionRouter;
 pub use service::{AutoCompactPolicy, ReplayStats, SchedService, SnapshotInfo};
 pub use snapshot::{Snapshot, SnapshotInstance, SnapshotPlatform, SnapshotTxn};
 
@@ -135,15 +130,14 @@ mod tests {
         .unwrap()
     }
 
-    fn two_island_engine() -> (AdmissionRouter, PlatformId, PlatformId) {
+    fn two_island_engine() -> (SchedService, PlatformId, PlatformId) {
         let mut platforms = PlatformSet::new();
         let a = platforms.add(Platform::dedicated("A"));
         let b = platforms.add(Platform::dedicated("B"));
         let set =
             TransactionSet::new(platforms, vec![tx_on("left", a), tx_on("right", b)]).unwrap();
         let engine =
-            AdmissionRouter::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
-                .unwrap();
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
         (engine, a, b)
     }
 
@@ -163,11 +157,11 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_a_typed_error_and_consumes_no_epoch() {
-        let (mut engine, _, _) = two_island_engine();
+        let (engine, _, _) = two_island_engine();
         let mut request = EngineRequest::batch(vec![]);
         request.version = 99;
         assert_eq!(
-            engine.commit(&request),
+            engine.submit(&request),
             Err(EngineError::UnsupportedVersion {
                 found: 99,
                 supported: SCHEMA_VERSION
@@ -178,9 +172,9 @@ mod tests {
 
     #[test]
     fn unknown_handle_is_a_typed_error() {
-        let (mut engine, _, _) = two_island_engine();
+        let (engine, _, _) = two_island_engine();
         let err = engine
-            .commit(&EngineRequest::new(vec![EngineOp::Remove(TxnId(999))]))
+            .submit(&EngineRequest::new(vec![EngineOp::Remove(TxnId(999))]))
             .unwrap_err();
         assert_eq!(err, EngineError::UnknownTxn(TxnId(999)));
         assert_eq!(engine.epoch(), 0, "no epoch consumed");
@@ -188,18 +182,18 @@ mod tests {
         // A departed transaction's handle goes stale.
         let id = engine.resolve("left").unwrap();
         let response = engine
-            .commit(&EngineRequest::new(vec![EngineOp::Remove(id)]))
+            .submit(&EngineRequest::new(vec![EngineOp::Remove(id)]))
             .unwrap();
         assert!(response.outcome.verdict.admitted());
         assert_eq!(
-            engine.commit(&EngineRequest::new(vec![EngineOp::Remove(id)])),
+            engine.submit(&EngineRequest::new(vec![EngineOp::Remove(id)])),
             Err(EngineError::UnknownTxn(id))
         );
     }
 
     #[test]
     fn bridging_arrival_merges_shards_and_departure_splits_them() {
-        let (mut engine, a, b) = two_island_engine();
+        let (engine, a, b) = two_island_engine();
         let bridge = Transaction::new(
             "bridge",
             rat(20, 1),
@@ -211,7 +205,7 @@ mod tests {
         )
         .unwrap();
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(bridge),
             ]))
             .unwrap();
@@ -219,7 +213,7 @@ mod tests {
         assert_eq!(engine.shard_count(), 1, "islands merged into one shard");
 
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction {
                     name: "bridge".into(),
                 },
@@ -233,7 +227,7 @@ mod tests {
 
     #[test]
     fn cross_shard_batch_is_atomic() {
-        let (mut engine, a, b) = two_island_engine();
+        let (engine, a, b) = two_island_engine();
         let set_before = engine.current_set();
         let report_before = engine.report();
         // Island A gets a fine arrival, island B an overload: the whole
@@ -246,7 +240,7 @@ mod tests {
         )
         .unwrap();
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("fine", a)),
                 AdmissionRequest::AddTransaction(hog),
             ]))
@@ -263,11 +257,10 @@ mod tests {
     #[test]
     fn retune_routes_to_the_owning_island_and_propagates() {
         let set = paper_example::transactions();
-        let mut engine =
-            AdmissionRouter::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
-                .unwrap();
+        let engine =
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
         let response = engine
-            .commit(&EngineRequest::batch(vec![AdmissionRequest::Retune {
+            .submit(&EngineRequest::batch(vec![AdmissionRequest::Retune {
                 platform: PlatformId(2),
                 alpha: rat(3, 10),
                 delta: rat(1, 1),
@@ -285,8 +278,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_an_epoch_and_tracks_schedulability() {
-        let (mut engine, _, _) = two_island_engine();
-        let response = engine.commit(&EngineRequest::batch(vec![])).unwrap();
+        let (engine, _, _) = two_island_engine();
+        let response = engine.submit(&EngineRequest::batch(vec![])).unwrap();
         assert!(response.outcome.verdict.admitted());
         assert_eq!(engine.epoch(), 1);
         assert_eq!(response.shards_touched, 0);
@@ -308,12 +301,11 @@ mod tests {
         )
         .unwrap();
         let set = TransactionSet::new(platforms, vec![tx_on("good", a), hog]).unwrap();
-        let mut engine =
-            AdmissionRouter::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
-                .unwrap();
+        let engine =
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
         assert!(!engine.schedulable());
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("more", a)),
             ]))
             .unwrap();
@@ -322,7 +314,7 @@ mod tests {
             Verdict::Rejected(RejectReason::Unschedulable { .. })
         ));
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction { name: "hog".into() },
             ]))
             .unwrap();
@@ -331,7 +323,7 @@ mod tests {
             "healing removal admits"
         );
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("more", a)),
             ]))
             .unwrap();
@@ -340,9 +332,9 @@ mod tests {
 
     #[test]
     fn out_of_range_platform_in_arrival_is_a_structural_rejection() {
-        let (mut engine, _, _) = two_island_engine();
+        let (engine, _, _) = two_island_engine();
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("ghost", PlatformId(99))),
             ]))
             .unwrap();
@@ -358,7 +350,7 @@ mod tests {
     #[test]
     fn instance_txn_name_is_reusable_in_the_removing_batch() {
         use hsched_model::{Action, ComponentClass, ThreadSpec};
-        let (mut engine, a, _) = two_island_engine();
+        let (engine, a, _) = two_island_engine();
         let class = ComponentClass::new("Worker").thread(ThreadSpec::periodic(
             "T",
             rat(50, 1),
@@ -366,7 +358,7 @@ mod tests {
             vec![Action::task("w", rat(1, 1), rat(1, 1))],
         ));
         let response = engine
-            .commit(&EngineRequest::batch(vec![AdmissionRequest::AddInstance {
+            .submit(&EngineRequest::batch(vec![AdmissionRequest::AddInstance {
                 name: "w1".into(),
                 class,
                 platform: a,
@@ -378,7 +370,7 @@ mod tests {
         // sequential application: the flattened name departs with the
         // instance, so the bare re-arrival under the same name admits.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveInstance { name: "w1".into() },
                 AdmissionRequest::AddTransaction(tx_on("w1.T", a)),
             ]))
@@ -397,18 +389,18 @@ mod tests {
 
     #[test]
     fn stats_survive_shard_retirement() {
-        let (mut engine, a, _) = two_island_engine();
+        let (engine, a, _) = two_island_engine();
         let analyzed_before = engine.stats().transactions_analyzed;
         // Fresh island on nothing shared: add then remove — the shard
         // retires, but its analysis counters must stay in the totals.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("ephemeral", a)),
             ]))
             .unwrap();
         assert!(response.outcome.verdict.admitted());
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction {
                     name: "left".into(),
                 },
@@ -427,7 +419,7 @@ mod tests {
     #[test]
     fn instance_lifecycle_via_engine() {
         use hsched_model::{Action, ComponentClass, ThreadSpec};
-        let (mut engine, a, _) = two_island_engine();
+        let (engine, a, _) = two_island_engine();
         let class = ComponentClass::new("Worker").thread(ThreadSpec::periodic(
             "T",
             rat(50, 1),
@@ -435,7 +427,7 @@ mod tests {
             vec![Action::task("w", rat(1, 1), rat(1, 1))],
         ));
         let response = engine
-            .commit(&EngineRequest::batch(vec![AdmissionRequest::AddInstance {
+            .submit(&EngineRequest::batch(vec![AdmissionRequest::AddInstance {
                 name: "w1".into(),
                 class,
                 platform: a,
@@ -448,7 +440,7 @@ mod tests {
         assert!(engine.resolve("w1.T").is_some());
 
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveInstance { name: "w1".into() },
             ]))
             .unwrap();
@@ -464,7 +456,7 @@ mod tests {
             std::process::id()
         ));
         let set = paper_example::transactions();
-        let mut engine = AdmissionRouter::new(
+        let engine = SchedService::new(
             set.clone(),
             AnalysisConfig::default(),
             AdmissionPolicy::default(),
@@ -494,13 +486,13 @@ mod tests {
                 name: "Sensor2.Thread1".into(),
             }],
         ] {
-            engine.commit(&EngineRequest::batch(batch)).unwrap();
+            engine.submit(&EngineRequest::batch(batch)).unwrap();
         }
         let digest = engine.state_digest();
         let epoch = engine.epoch();
         drop(engine); // "crash"
 
-        let (replayed, stats) = AdmissionRouter::replay(
+        let (replayed, stats) = SchedService::replay(
             set,
             AnalysisConfig::default(),
             AdmissionPolicy::default(),
@@ -560,7 +552,7 @@ mod tests {
             contents.epochs.len()
         );
         // The compacted journal still rebuilds the engine byte-identically.
-        let (replayed, _) = AdmissionRouter::replay(
+        let (replayed, _) = SchedService::replay(
             set,
             AnalysisConfig::default(),
             AdmissionPolicy::default(),
@@ -623,16 +615,15 @@ mod tests {
             .unwrap()
         };
         let set = TransactionSet::new(platforms, vec![slow("abe", a), slow("zed", b)]).unwrap();
-        let mut engine =
-            AdmissionRouter::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
-                .unwrap();
+        let engine =
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
         let abe = slow("abe", a);
         for batch in [
             vec![AdmissionRequest::RemoveTransaction { name: "abe".into() }],
             vec![AdmissionRequest::AddTransaction(abe)],
         ] {
             assert!(engine
-                .commit(&EngineRequest::batch(batch))
+                .submit(&EngineRequest::batch(batch))
                 .unwrap()
                 .outcome
                 .verdict
@@ -651,7 +642,7 @@ mod tests {
             .unwrap()
         };
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(hi("hi_a", a)),
                 AdmissionRequest::AddTransaction(hi("hi_b", b)),
             ]))
@@ -668,10 +659,10 @@ mod tests {
 
     #[test]
     fn structural_rejections_match_controller_semantics() {
-        let (mut engine, a, _) = two_island_engine();
+        let (engine, a, _) = two_island_engine();
         // Unknown removal.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction {
                     name: "nope".into(),
                 },
@@ -684,7 +675,7 @@ mod tests {
         assert_eq!(engine.epoch(), 1, "structural rejection consumes an epoch");
         // Duplicate arrival.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("left", a)),
             ]))
             .unwrap();
@@ -694,7 +685,7 @@ mod tests {
         ));
         // [remove X, add X] in one batch works like sequential application.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction {
                     name: "left".into(),
                 },

@@ -16,17 +16,17 @@ use hsched_telemetry::{Counter, Histogram, MetricsSnapshot};
 pub struct EngineMetrics {
     /// Epochs fully settled (admitted + rejected).
     pub epochs_settled: Counter,
-    /// Fast-path reservations that issued a ticket.
+    /// Epochs ticketed without a drain (snapshot name
+    /// `engine.reserve.fast`, a historical name).
     pub fast_reservations: Counter,
-    /// Fast-path attempts turned away by contention (busy shard, claimed
-    /// name/platform, writer fairness, capacity) — each one is a retry
-    /// after a gate-generation wait.
+    /// Routings that hit a conflict with an in-flight epoch (busy shard,
+    /// claimed name or free platform) and waited for a settle.
     pub fast_conflicts: Counter,
-    /// Fast-path attempts that routed to a topology change and fell back
-    /// to the exclusive path.
+    /// Batches that routed, then drained for a topology change (merge or
+    /// fresh shard).
     pub fast_fallbacks: Counter,
-    /// Exclusive reservations (instance ops, topology changes, poison
-    /// parity) — each drains the whole pipeline first.
+    /// Drains of any cause (instance operations, poison parity, topology
+    /// changes) — each empties the whole pipeline first.
     pub exclusive_drains: Counter,
     /// Journal bytes appended (records only; snapshot rewrites excluded).
     pub journal_bytes: Counter,
@@ -42,11 +42,12 @@ pub struct EngineMetrics {
     pub replay_repaired_bytes: Counter,
 
     /// Reserve-phase time per epoch, *excluding* the route and checkout
-    /// slices below (gate waits, stripe locking, contention retries).
+    /// slices below (gate waits, core locking, conflict waits, drains).
     pub reserve_ns: Histogram,
-    /// Routing time per epoch (footprint → shard decision).
+    /// Routing time per epoch (batch → shard decision).
     pub route_ns: Histogram,
-    /// Shard checkout time per epoch (slot cells + platform re-sync).
+    /// Shard checkout time per epoch (group realization, slot checkout,
+    /// platform re-sync).
     pub checkout_ns: Histogram,
     /// Analysis time per epoch (the lock-free phase 2).
     pub analyze_ns: Histogram,

@@ -15,17 +15,15 @@
 //! longer serialize analysis work while the routed epoch structure — and
 //! therefore byte-identical replay — is unchanged.
 //!
-//! Since the striped front door, [`route`] is written against the
-//! [`RouteView`] trait instead of a concrete lock: the fast reserve path
-//! routes through [`crate::stripes::FastView`] (only the batch's stripes
-//! locked, busy checks deferred to checkout), the exclusive path through
-//! [`crate::service::World`] (everything locked, pipeline drained). The
-//! conflict rules and write-path gating are documented in the service
-//! module docs and `docs/ARCHITECTURE.md`.
+//! [`route`] reads the routing state straight from the service
+//! [`Core`], which the caller holds locked — the one routing lock. Every
+//! answer is exact: a busy shard, a claimed name or a claimed free
+//! platform is a conflict right here, so checkout never meets a `Busy`
+//! slot. The conflict rules and the cases that drain first are
+//! documented in the service module docs and `docs/ARCHITECTURE.md`.
 
 use crate::envelope::EngineError;
-use crate::service::{Shard, Slot, World};
-use crate::stripes::{name_stripe, platform_stripe};
+use crate::service::{Core, Shard, Slot};
 use hsched_admission::{AdmissionController, AdmissionRequest, UnionFind};
 use hsched_model::{ComponentClass, SystemBuilder};
 use hsched_platform::PlatformId;
@@ -97,52 +95,9 @@ impl GroupDraft {
     }
 }
 
-/// The routing state [`route`] reads — implemented by the fast path's
-/// stripe-subset view and by the exclusive everything-locked [`World`].
-///
-/// The contract that keeps the two views equivalent: a view may report a
-/// slot as not busy ([`RouteView::slot_busy`] returning `false`) only when
-/// the caller re-verifies at shard checkout (the slot cell's `Busy` marker
-/// is authoritative); every other answer must be exact for the keys the
-/// view covers.
-pub(crate) trait RouteView {
-    /// Size of the (immutable) platform table.
-    fn platform_count(&self) -> usize;
-    /// Whether an in-flight epoch has claimed this name.
-    fn pending_name(&self, name: &str) -> bool;
-    /// Whether a live transaction carries this name.
-    fn txn_live(&self, name: &str) -> bool;
-    /// Home slot of a live transaction.
-    fn txn_slot(&self, name: &str) -> Option<usize>;
-    /// Whether an in-flight epoch has the slot's shard checked out (views
-    /// that defer the check to checkout return `false`).
-    fn slot_busy(&self, slot: usize) -> bool;
-    /// Owning shard slot of a platform (`None` = free).
-    fn platform_home(&self, p: usize) -> Option<usize>;
-    /// Whether an in-flight epoch has claimed this free platform.
-    fn pending_free(&self, p: usize) -> bool;
-    /// Whether a live instance carries this name.
-    fn instance_live(&self, name: &str) -> bool;
-    /// Home slot of a live instance.
-    fn instance_slot(&self, name: &str) -> Option<usize>;
-    /// Flattened member transactions of the live instance `name` homed at
-    /// `slot`; `None` when the owning shard is checked out.
-    fn instance_txns(&self, slot: usize, name: &str) -> Option<Vec<String>>;
-    /// Member transaction names an arriving instance would flatten into
-    /// (empty when the class has required interfaces or flattening fails —
-    /// the owning shard re-validates during commit).
-    fn preflatten(
-        &self,
-        name: &str,
-        class: &ComponentClass,
-        platform: PlatformId,
-        node: usize,
-    ) -> Vec<String>;
-}
-
 /// Resolves each request of the batch to routing keys, simulating
 /// batch-local name liveness, and collecting the conflict claim sets.
-pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> RouteOutcome {
+pub(crate) fn route(core: &Core, batch: &[AdmissionRequest]) -> RouteOutcome {
     let mut tx_state: HashMap<String, NameState> = HashMap::new();
     let mut instance_state: HashMap<String, NameState> = HashMap::new();
     let mut keys: Vec<Vec<Key>> = Vec::with_capacity(batch.len());
@@ -156,7 +111,7 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
     macro_rules! claim_name {
         ($name:expr) => {{
             let name: &str = $name;
-            if view.pending_name(name) {
+            if core.pending_names.contains(name) {
                 return RouteOutcome::Blocked;
             }
             mentioned.push(name.to_string());
@@ -168,7 +123,7 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
             AdmissionRequest::AddTransaction(tx) => {
                 claim_name!(&tx.name);
                 for task in tx.tasks() {
-                    if task.platform.0 >= view.platform_count() {
+                    if task.platform.0 >= core.platforms.len() {
                         return RouteOutcome::Structural(format!(
                             "task `{}` maps to unknown platform {}",
                             task.name, task.platform
@@ -178,7 +133,7 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
                 let live = match tx_state.get(&tx.name) {
                     Some(NameState::Absent) => false,
                     Some(NameState::Pending(_)) => true,
-                    None => view.txn_live(&tx.name),
+                    None => core.txn_home.contains_key(&tx.name),
                 };
                 if live {
                     return RouteOutcome::Structural(format!(
@@ -187,7 +142,7 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
                     ));
                 }
                 tx_state.insert(tx.name.clone(), NameState::Pending(i));
-                match platform_keys(view, tx.tasks().iter().map(|t| t.platform.0)) {
+                match platform_keys(core, tx.tasks().iter().map(|t| t.platform.0)) {
                     Some(keys) => keys,
                     None => return RouteOutcome::Blocked,
                 }
@@ -203,9 +158,9 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
                     Some(NameState::Absent) => {
                         return RouteOutcome::Structural(format!("no transaction named `{name}`"));
                     }
-                    None => match view.txn_slot(name) {
+                    None => match core.txn_home.get(name).copied() {
                         Some(slot) => {
-                            if view.slot_busy(slot) {
+                            if core.slot_busy(slot) {
                                 return RouteOutcome::Blocked;
                             }
                             tx_state.insert(name.clone(), NameState::Absent);
@@ -220,10 +175,10 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
                 }
             }
             AdmissionRequest::Retune { platform, .. } => {
-                if platform.0 >= view.platform_count() {
+                if platform.0 >= core.platforms.len() {
                     return RouteOutcome::Structural(format!("platform {platform} out of range"));
                 }
-                match platform_keys(view, std::iter::once(platform.0)) {
+                match platform_keys(core, std::iter::once(platform.0)) {
                     Some(keys) => keys,
                     None => return RouteOutcome::Blocked,
                 }
@@ -235,26 +190,26 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
                 node,
             } => {
                 claim_name!(name);
-                if platform.0 >= view.platform_count() {
+                if platform.0 >= core.platforms.len() {
                     return RouteOutcome::Structural(format!("platform {platform} out of range"));
                 }
                 let live = match instance_state.get(name) {
                     Some(NameState::Absent) => false,
                     Some(NameState::Pending(_)) => true,
-                    None => view.instance_live(name),
+                    None => core.instance_home.contains_key(name),
                 };
                 if live {
                     return RouteOutcome::Structural(format!("instance `{name}` already live"));
                 }
                 // Pre-flatten to catch cross-shard name collisions the
                 // owning shard cannot see (it only knows its own set).
-                let members = view.preflatten(name, class, *platform, *node);
+                let members = core.preflatten(name, class, *platform, *node);
                 for member in &members {
                     claim_name!(member);
                     let live = match tx_state.get(member) {
                         Some(NameState::Absent) => false,
                         Some(NameState::Pending(_)) => true,
-                        None => view.txn_live(member),
+                        None => core.txn_home.contains_key(member),
                     };
                     if live {
                         return RouteOutcome::Structural(format!(
@@ -266,7 +221,7 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
                     tx_state.insert(member, NameState::Pending(i));
                 }
                 instance_state.insert(name.clone(), NameState::Pending(i));
-                match platform_keys(view, std::iter::once(platform.0)) {
+                match platform_keys(core, std::iter::once(platform.0)) {
                     Some(keys) => keys,
                     None => return RouteOutcome::Blocked,
                 }
@@ -282,9 +237,9 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
                     Some(NameState::Absent) => {
                         return RouteOutcome::Structural(format!("no instance named `{name}`"));
                     }
-                    None => match view.instance_slot(name) {
+                    None => match core.instance_home.get(name).copied() {
                         Some(slot) => {
-                            let Some(members) = view.instance_txns(slot, name) else {
+                            let Some(members) = core.instance_txns(slot, name) else {
                                 return RouteOutcome::Blocked;
                             };
                             instance_state.insert(name.clone(), NameState::Absent);
@@ -325,21 +280,18 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
 
 /// Deduplicated routing keys of a platform list; `None` when a key
 /// conflicts with an in-flight epoch (busy shard / claimed platform).
-fn platform_keys<V: RouteView>(
-    view: &V,
-    platforms: impl Iterator<Item = usize>,
-) -> Option<Vec<Key>> {
+fn platform_keys(core: &Core, platforms: impl Iterator<Item = usize>) -> Option<Vec<Key>> {
     let mut out: Vec<Key> = Vec::new();
     for p in platforms {
-        let key = match view.platform_home(p) {
+        let key = match core.platform_home.get(&p).copied() {
             Some(slot) => {
-                if view.slot_busy(slot) {
+                if core.slot_busy(slot) {
                     return None;
                 }
                 Key::Shard(slot)
             }
             None => {
-                if view.pending_free(p) {
+                if core.pending_free.contains(&p) {
                     return None;
                 }
                 Key::Free(p)
@@ -412,59 +364,23 @@ pub(crate) fn plan_groups(
     out
 }
 
-impl RouteView for World<'_> {
-    fn platform_count(&self) -> usize {
-        self.core.platforms.len()
-    }
-
-    fn pending_name(&self, name: &str) -> bool {
-        self.names[name_stripe(name)].pending.contains(name)
-    }
-
-    fn txn_live(&self, name: &str) -> bool {
-        self.names[name_stripe(name)].txn_home.contains_key(name)
-    }
-
-    fn txn_slot(&self, name: &str) -> Option<usize> {
-        self.names[name_stripe(name)].txn_home.get(name).copied()
-    }
-
+impl Core {
+    /// Whether an in-flight epoch has the slot's shard checked out.
     fn slot_busy(&self, slot: usize) -> bool {
-        // The world holds the slot table's write guard, so no cell mutex
-        // can be held or contended by anyone else — this lock is free.
-        matches!(
-            *self.slots[slot].lock().expect("slot cell poisoned"),
-            Slot::Busy
-        )
+        matches!(self.slots[slot], Slot::Busy)
     }
 
-    fn platform_home(&self, p: usize) -> Option<usize> {
-        self.plats[platform_stripe(p)].home.get(&p).copied()
-    }
-
-    fn pending_free(&self, p: usize) -> bool {
-        self.plats[platform_stripe(p)].pending_free.contains(&p)
-    }
-
-    fn instance_live(&self, name: &str) -> bool {
-        self.names[name_stripe(name)]
-            .instance_home
-            .contains_key(name)
-    }
-
-    fn instance_slot(&self, name: &str) -> Option<usize> {
-        self.names[name_stripe(name)]
-            .instance_home
-            .get(name)
-            .copied()
-    }
-
+    /// Flattened member transactions of the live instance `name` homed at
+    /// `slot`; `None` when the owning shard is checked out.
     fn instance_txns(&self, slot: usize, name: &str) -> Option<Vec<String>> {
-        let cell = self.slots[slot].lock().expect("slot cell poisoned");
-        cell.as_idle()
+        self.slots[slot]
+            .as_idle()
             .map(|s| s.core.transactions_of_instance(name))
     }
 
+    /// Member transaction names an arriving instance would flatten into
+    /// (empty when the class has required interfaces or flattening fails —
+    /// the owning shard re-validates during commit).
     fn preflatten(
         &self,
         name: &str,
@@ -479,9 +395,9 @@ impl RouteView for World<'_> {
         let class_idx = builder.add_class(class.clone());
         builder.instantiate(name.to_string(), class_idx, platform, node);
         let options = FlattenOptions {
-            external_stimuli: self.core.policy.external_stimuli,
+            external_stimuli: self.policy.external_stimuli,
         };
-        match flatten_annotated(&builder.build(), &self.core.platforms, options) {
+        match flatten_annotated(&builder.build(), &self.platforms, options) {
             Ok((subset, _)) => subset
                 .transactions()
                 .iter()
@@ -490,9 +406,7 @@ impl RouteView for World<'_> {
             Err(_) => Vec::new(),
         }
     }
-}
 
-impl World<'_> {
     /// The platforms of every island the routed batch touches (its touched
     /// shards' platform homes plus the claimed free platforms) — the
     /// clearing scope of the numeric-parity poison map.
@@ -509,11 +423,9 @@ impl World<'_> {
                 }
             }
         }
-        for stripe in self.plats.iter() {
-            for (p, home) in &stripe.home {
-                if slots.contains(home) {
-                    touched.insert(*p);
-                }
+        for (p, home) in &self.platform_home {
+            if slots.contains(home) {
+                touched.insert(*p);
             }
         }
         touched
@@ -523,8 +435,8 @@ impl World<'_> {
     /// (cache-preserving concatenation — the merged island is re-analyzed
     /// by the commit anyway, exactly as the single controller would) and
     /// allocates fresh shards for all-free groups. Topology-changing
-    /// drafts only run on the exclusive path (pipeline drained, world
-    /// locked), so slot choices stay deterministic in ticket order.
+    /// drafts only reach here drained (nothing in flight, core locked),
+    /// so slot choices stay deterministic in ticket order.
     pub(crate) fn apply_groups(
         &mut self,
         drafts: Vec<GroupDraft>,
@@ -535,50 +447,50 @@ impl World<'_> {
                 Some((&target, rest)) => {
                     if !rest.is_empty() {
                         let Slot::Idle(mut merged) =
-                            std::mem::replace(self.slot_mut(target), Slot::Busy)
+                            std::mem::replace(&mut self.slots[target], Slot::Busy)
                         else {
                             return Err(EngineError::Internal(
                                 "merge target not idle at reserve".to_string(),
                             ));
                         };
-                        self.core.sync_shard_platforms(&mut merged)?;
+                        self.sync_shard_platforms(&mut merged)?;
                         for &loser in rest {
                             let Slot::Idle(mut eaten) =
-                                std::mem::replace(self.slot_mut(loser), Slot::Vacant)
+                                std::mem::replace(&mut self.slots[loser], Slot::Vacant)
                             else {
                                 return Err(EngineError::Internal(
                                     "merge loser not idle at reserve".to_string(),
                                 ));
                             };
-                            self.core.sync_shard_platforms(&mut eaten)?;
+                            self.sync_shard_platforms(&mut eaten)?;
                             merged
                                 .core
                                 .merge_from(eaten.core)
                                 .map_err(EngineError::Internal)?;
                             self.reassign_home(loser, target);
-                            self.core.unsched.remove(&loser);
+                            self.unsched.remove(&loser);
                         }
                         merged.schedulable = merged.core.schedulable();
                         if merged.schedulable {
-                            self.core.unsched.remove(&target);
+                            self.unsched.remove(&target);
                         } else {
-                            self.core.unsched.insert(target, merged.core.misses());
+                            self.unsched.insert(target, merged.core.misses());
                         }
-                        *self.slot_mut(target) = Slot::Idle(merged);
+                        self.slots[target] = Slot::Idle(merged);
                     }
                     target
                 }
                 None => {
-                    let empty = TransactionSet::new(self.core.platforms.clone(), Vec::new())
+                    let empty = TransactionSet::new(self.platforms.clone(), Vec::new())
                         .map_err(EngineError::Internal)?;
                     let mut core = AdmissionController::new(
                         empty,
-                        self.core.config.clone(),
-                        self.core.shard_policy.clone(),
+                        self.config.clone(),
+                        self.shard_policy.clone(),
                     )
                     .map_err(EngineError::Internal)?;
-                    core.set_metrics_sink(self.core.admission_metrics.clone());
-                    let version = self.core.platforms_version;
+                    core.set_metrics_sink(self.admission_metrics.clone());
+                    let version = self.platforms_version;
                     self.allocate_slot(Shard {
                         core,
                         schedulable: true,

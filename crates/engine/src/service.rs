@@ -38,26 +38,28 @@
 //!    byte-identically (the linearizability property suite drives N client
 //!    threads and asserts exactly this).
 //!
-//! ## The striped front door
+//! ## One routing lock
 //!
-//! Reserve no longer funnels through one routing lock. The name→shard and
-//! platform→shard tables live in [`crate::stripes`]: [`STRIPE_COUNT`]
-//! independently locked stripes per table, each carrying both the at-rest
-//! home map and the in-flight claim set for its keys. A transaction-level
-//! batch locks exactly the stripes in its footprint (ascending index), a
-//! read lock on the slot table, and checks its shards out cell by cell —
-//! disjoint batches touch disjoint locks and never contend. Epochs that
-//! need more — instance operations, topology changes (merges, fresh
-//! shards), or the cross-island poison parity check — take the
-//! **exclusive path**: drain the pipeline, lock the whole [`World`], and
-//! route against everything at once, exactly as the single-lock engine
-//! did.
+//! All routing state lives in the one [`Core`] mutex: the name→shard and
+//! platform→shard home maps, the in-flight claim sets (mentioned names,
+//! claimed free platforms) and the shard slot table. Reserve locks it
+//! once, routes the batch, checks the touched shards out and issues the
+//! ticket. The lock is held for routing and checkout only — microseconds
+//! — and never across analysis: parallel work comes from analysing
+//! disjoint island shards with no lock held, not from routing. A batch
+//! that conflicts with an in-flight epoch waits on a condvar over the core
+//! itself, so no settle can slip between the conflict check and the wait.
 //!
-//! The lock order is total and is documented with a deadlock-freedom
-//! argument in `docs/ARCHITECTURE.md`: name stripes (ascending) → platform
-//! stripes (ascending) → slot table → slot cells (transiently, one at a
-//! time) → core → gate. Condition variables wait on the gate (or the core,
-//! for group commit) while holding nothing earlier in the order.
+//! Three cases **drain** the pipeline first and route against a core with
+//! nothing in flight: instance operations (routing them reads shard
+//! internals), outstanding utilization poison (the parity check must see
+//! every island at rest), and plans that merge shards or create a fresh
+//! one (slot choice must be deterministic in ticket order).
+//!
+//! The lock order is core → gate, documented with a deadlock-freedom
+//! argument in `docs/ARCHITECTURE.md`. Condition variables wait on the
+//! gate (settle turn, pipeline capacity, drain fairness) or on the core
+//! (conflicts, group commit) while holding nothing else.
 //!
 //! Journal `fsync`s are group-committed and now *exposed*: the record is
 //! written at settle (keeping ticket order) but `sync_data` happens in
@@ -77,11 +79,11 @@
 //! replay serially). Conflicting submissions simply wait; disjoint ones
 //! run concurrently. Epochs that must *change topology* at routing time —
 //! merging shards bridged by an arrival, or creating a shard on free
-//! platforms — take the exclusive path: they drain all in-flight epochs
-//! first (a fairness gate holds new reservations off while a writer
-//! waits), keeping slot assignment deterministic in ticket order, which
-//! the state digest depends on. Splits after departures happen at settle
-//! time, which is already serialized.
+//! platforms — drain all in-flight epochs first (a fairness gate holds
+//! new reservations off while a drain waits), keeping slot assignment
+//! deterministic in ticket order, which the state digest depends on.
+//! Splits after departures happen at settle time, which is already
+//! serialized.
 //!
 //! # Equivalence envelope
 //!
@@ -107,16 +109,14 @@ use crate::envelope::{
 };
 use crate::journal::{DurableMark, JournalEpoch, JournalStream, JournalSubscriber, JournalWriter};
 use crate::metrics::EngineMetrics;
-use crate::routing::{plan_groups, route, Group, RouteOutcome};
+use crate::routing::{plan_groups, route, Group, GroupDraft, RouteOutcome, Routed};
 use crate::snapshot::{self, Snapshot};
-use crate::stripes::{
-    name_stripe, platform_stripe, FastView, NameStripe, PlatStripe, STRIPE_COUNT,
-};
 use crate::sync::{
-    condvar, core_lock, counter_cell, flag_cell, gate_lock, name_stripe_lock, plat_stripe_lock,
-    scratch_lock, slot_cell_lock, slot_table_lock, Arc, AtomicBool, AtomicU64, Condvar, Mutex,
-    MutexGuard, Ordering, RwLock, RwLockWriteGuard,
+    condvar, core_lock, counter_cell, gate_lock, scratch_lock, Arc, AtomicU64, Condvar, Mutex,
+    MutexGuard, Ordering,
 };
+#[cfg(hsched_model)]
+use crate::sync::{flag_cell, AtomicBool};
 use hsched_admission::{
     AdmissionController, AdmissionMetrics, AdmissionPolicy, AdmissionRequest, ControllerStats,
     EpochOutcome, RejectReason, Verdict,
@@ -146,10 +146,9 @@ pub(crate) struct Shard {
 
 /// One shard slot of the service. `Busy` means an in-flight epoch has the
 /// shard checked out — the lock-per-shard state, held from reserve to
-/// settle. Each slot is its own mutex cell: the fast path locks a cell
-/// only transiently (check out or return a shard), and never holds one
-/// across any other acquisition, so cells sit harmlessly at the bottom of
-/// the lock order.
+/// settle. The slot table is a plain vector inside [`Core`]: checkout and
+/// return happen under the routing lock, so a slot needs no lock of its
+/// own.
 ///
 /// The variant size skew is deliberate: the slot table is small (one entry
 /// per island group) and keeping shards inline avoids a pointer chase on
@@ -178,21 +177,37 @@ impl Slot {
     }
 }
 
-/// The non-routing heart of the service: handle maps, epoch accounting,
-/// the master platform set, journal bookkeeping, and the cross-island
-/// parity state. Routing state (name/platform homes, claim sets) lives in
-/// the stripes; the slot table is its own `RwLock`. The core mutex is
-/// held briefly — handle resolution, settle bookkeeping, journal sync
-/// arbitration — never across analysis.
+/// The heart of the service and its one routing lock: routing state
+/// (name/platform homes, in-flight claim sets, the slot table), handle
+/// maps, epoch accounting, the master platform set, journal bookkeeping,
+/// and the cross-island parity state. The core mutex is held briefly —
+/// routing and checkout, handle resolution, settle bookkeeping, journal
+/// sync arbitration — never across analysis.
 #[derive(Debug)]
 pub(crate) struct Core {
+    /// Live transaction name → shard slot.
+    pub(crate) txn_home: HashMap<String, usize>,
+    /// Live component-instance name → shard slot.
+    pub(crate) instance_home: HashMap<String, usize>,
+    /// Platform index → owning shard slot (absent = no shard uses the
+    /// platform).
+    pub(crate) platform_home: HashMap<usize, usize>,
+    /// Names (transactions + instances, including flattened members)
+    /// mentioned by in-flight epochs — the name-conflict set.
+    pub(crate) pending_names: HashSet<String>,
+    /// Free platforms claimed by in-flight epochs (their shard membership
+    /// is only indexed at settle).
+    pub(crate) pending_free: HashSet<usize>,
+    /// The shard slot table.
+    pub(crate) slots: Vec<Slot>,
     /// Live transaction name → stable handle.
     pub(crate) ids: HashMap<String, TxnId>,
     /// Stable handle → live transaction name.
     pub(crate) names: HashMap<TxnId, String>,
     pub(crate) next_id: u64,
     /// Last ticket fully settled (mirror of the gate's counter, updated at
-    /// settle while the world is held — the value group commit trusts).
+    /// settle while the core is held — the value group commit and drains
+    /// trust).
     pub(crate) settled: u64,
     pub(crate) admitted_epochs: u64,
     pub(crate) rejected_epochs: u64,
@@ -215,8 +230,8 @@ pub(crate) struct Core {
     /// commit, reset by attach/compaction. Paired with `synced`, this is
     /// the replication streamer's high-water mark: the first
     /// `durable_bytes` bytes of the journal file hold exactly the records
-    /// of epochs ≤ `synced` (appends happen under the world lock, so the
-    /// pair captured under the core lock is consistent).
+    /// of epochs ≤ `synced` (appends happen under the core lock, so the
+    /// pair captured under it is consistent).
     durable_bytes: u64,
     /// A thread is currently running `sync_data` outside the lock.
     syncing: bool,
@@ -224,8 +239,8 @@ pub(crate) struct Core {
     /// later epoch may report durability (see [`SchedService::sync`]).
     sync_error: Option<String>,
     /// Monotone version of the master platform set (bumped per admitted
-    /// retune); shards carry the version they last synced against, and the
-    /// service mirrors it in an atomic for lock-free staleness checks.
+    /// retune); shards carry the version they last synced against and
+    /// re-sync lazily at checkout or merge when it moved.
     pub(crate) platforms_version: u64,
     /// Snapshot auto-compaction thresholds (off by default).
     auto_compact: AutoCompactPolicy,
@@ -249,22 +264,17 @@ pub(crate) struct Core {
     pub(crate) admission_metrics: Arc<AdmissionMetrics>,
 }
 
-/// Admission-flow coordination, locked **last** in the total order so the
-/// hot path can consult it while holding anything else. All condition
-/// variables except group commit wait on this mutex alone.
+/// Admission-flow coordination, locked **after** the core so reserve can
+/// consult it while routing. The settle-turn, capacity and drain-fairness
+/// condition variables wait on this mutex alone.
 #[derive(Debug)]
 struct Gate {
     /// Last ticket fully settled. Together with the `issued` atomic:
     /// `settled == issued` ⟺ no epoch in flight ⟺ no `Busy` slot.
     settled: u64,
-    /// Write-path epochs waiting for the in-flight set to drain; while
+    /// Draining epochs waiting for the in-flight set to empty; while
     /// nonzero, new reservations hold off (fairness gate).
-    writers_waiting: usize,
-    /// Bumped whenever blocked reservations might make progress (an epoch
-    /// settled, a writer left). Contended reservations capture it before
-    /// routing and sleep until it moves — closing the missed-wakeup window
-    /// between their conflict observation and their wait.
-    generation: u64,
+    drains_waiting: usize,
 }
 
 /// A granted reservation: the epoch's ticket plus everything checked out
@@ -279,8 +289,8 @@ struct Reservation {
     removed_instance_txns: Vec<Vec<String>>,
     claimed_names: Vec<String>,
     claimed_free: Vec<usize>,
-    /// Platforms of every touched island (poison accounting; empty on the
-    /// fast path, which only runs when the poison map is empty).
+    /// Platforms of every touched island (poison accounting; empty unless
+    /// the epoch drained, since only a drain routes with poison present).
     touched_platforms: Vec<usize>,
     /// Rejection decided at reserve time (structural / numeric parity):
     /// the epoch skips analysis and settles straight to a rejection.
@@ -289,17 +299,6 @@ struct Reservation {
     route_ns: u64,
     /// Wall time the winning attempt spent checking shards out (telemetry).
     checkout_ns: u64,
-}
-
-/// Outcome of one fast-path reservation attempt.
-enum FastAttempt {
-    /// Ticket issued; proceed to analyze.
-    Ready(Reservation),
-    /// The batch needs the exclusive path (topology change).
-    Fallback,
-    /// Conflict with an in-flight epoch (or writer fairness / capacity) —
-    /// wait until the captured gate generation moves, then retry.
-    Contended(u64),
 }
 
 /// Epoch outcome handed from the analyze phase to settle.
@@ -364,31 +363,12 @@ pub struct SnapshotInfo {
 /// The concurrent admission service (see the module docs).
 ///
 /// All methods take `&self`; the service is `Send + Sync` and is driven
-/// from as many client threads as desired. The single-threaded
-/// [`crate::AdmissionRouter`] wrapper preserves the PR-3 exclusive-borrow
-/// API on top of this type.
+/// from as many client threads as desired.
 #[derive(Debug)]
 pub struct SchedService {
-    /// Name-addressed routing stripes (homes + claims), FNV-striped.
-    names: Vec<Mutex<NameStripe>>,
-    /// Platform-addressed routing stripes (homes + claims), residue-striped.
-    plats: Vec<Mutex<PlatStripe>>,
-    /// The shard slot table. Readers (fast reservations) share it and lock
-    /// individual cells; the exclusive path and settle take it whole.
-    slots: RwLock<Vec<Mutex<Slot>>>,
-    /// Last epoch ticket issued. Only incremented while the gate is held,
-    /// so `issued` reads under the gate are exact.
+    /// Last epoch ticket issued. Only incremented while the core and the
+    /// gate are both held, so `issued` reads under either are exact.
     issued: AtomicU64,
-    /// Lock-free mirror of [`Core::platforms_version`] (staleness check at
-    /// fast checkout without touching the core).
-    platforms_version: AtomicU64,
-    /// Whether the utilization-poison map is non-empty. Poison is only
-    /// seeded at construction/rebuild and only ever *cleared* afterwards,
-    /// so a `false` read is final and the fast path may skip the parity
-    /// scan entirely.
-    poison_present: AtomicBool,
-    /// Size of the (immutable) platform table.
-    platform_count: usize,
     /// Pipeline depth bound: at most this many epochs in flight. Keeps a
     /// small machine from timeslicing a pile of analyses (reserve applies
     /// backpressure instead) while still overlapping analysis with journal
@@ -399,16 +379,16 @@ pub struct SchedService {
     island_threads: usize,
     core: Mutex<Core>,
     gate: Mutex<Gate>,
-    /// Settle-order, drain and quiesce waiters (on the gate; notified when
-    /// `settled` advances).
+    /// Settle-order, drain, quiesce and drain-fairness waiters (on the
+    /// gate; notified when `settled` advances or a drain leaves).
     turn: Condvar,
     /// Reserve waiters blocked purely on the pipeline-depth bound (on the
     /// gate) — homogeneous, so each settle wakes exactly one (no
     /// thundering herd).
     capacity: Condvar,
     /// Reserve waiters blocked on a conflict (shared shard, claimed name
-    /// or platform, writer fairness) — rare; notified broadly on settle
-    /// and writer exit (on the gate).
+    /// or platform) — rare; notified broadly on settle (on the core, so a
+    /// settle cannot slip between the conflict check and the wait).
     conflict: Condvar,
     /// Group-commit waiters (on the core; notified when a journal sync
     /// completes).
@@ -437,22 +417,6 @@ const _: () = {
     const fn assert_sync<T: Send + Sync>() {}
     assert_sync::<SchedService>();
 };
-
-/// Exclusive view over every piece of service state: all stripes (in
-/// order), the whole slot table, and the core. Settle, the exclusive
-/// reserve path, observation and rebuild all run through one of these —
-/// with the world held no reservation can route and no sibling can
-/// settle, so the view is a consistent cut.
-///
-/// While the slot table's write guard is held no cell mutex can be
-/// contended, so the `&self` accessors below may lock cells freely and
-/// the `&mut self` ones use `get_mut`.
-pub(crate) struct World<'a> {
-    pub(crate) names: Vec<MutexGuard<'a, NameStripe>>,
-    pub(crate) plats: Vec<MutexGuard<'a, PlatStripe>>,
-    pub(crate) slots: RwLockWriteGuard<'a, Vec<Mutex<Slot>>>,
-    pub(crate) core: MutexGuard<'a, Core>,
-}
 
 impl SchedService {
     /// Builds a service over an already-flattened transaction set: one full
@@ -496,10 +460,14 @@ impl SchedService {
             .map_err(EngineError::Seed)?;
         seed.set_metrics_sink(admission_metrics.clone());
 
-        let platform_count = platforms.len();
         let island_threads = policy.island_threads;
-        let poison_present = !util_poison.is_empty();
         let core = Core {
+            txn_home: HashMap::new(),
+            instance_home: HashMap::new(),
+            platform_home: HashMap::new(),
+            pending_names: HashSet::new(),
+            pending_free: HashSet::new(),
+            slots: Vec::new(),
             ids: HashMap::new(),
             names: HashMap::new(),
             next_id: 0,
@@ -525,24 +493,13 @@ impl SchedService {
             admission_metrics: admission_metrics.clone(),
         };
         let service = SchedService {
-            names: (0..STRIPE_COUNT)
-                .map(|i| name_stripe_lock(i, NameStripe::default()))
-                .collect(),
-            plats: (0..STRIPE_COUNT)
-                .map(|i| plat_stripe_lock(i, PlatStripe::default()))
-                .collect(),
-            slots: slot_table_lock(Vec::new()),
             issued: counter_cell("issued", 0),
-            platforms_version: counter_cell("platforms_version", 0),
-            poison_present: flag_cell("poison_present", poison_present),
-            platform_count,
             max_inflight: default_max_inflight(),
             island_threads,
             core: core_lock(core),
             gate: gate_lock(Gate {
                 settled: 0,
-                writers_waiting: 0,
-                generation: 0,
+                drains_waiting: 0,
             }),
             turn: condvar("turn"),
             capacity: condvar("capacity"),
@@ -555,23 +512,22 @@ impl SchedService {
             fail_next_sync: flag_cell("fail_next_sync", false),
         };
         {
-            let mut world = service.world();
+            let mut core = service.lock_core();
             for name in seed_names {
-                world.core.mint_id(&name);
+                core.mint_id(&name);
             }
             for part in seed.split_islands() {
-                let slot = world.slots.len();
-                world.index_shard(slot, &part);
+                let slot = core.slots.len();
+                core.index_shard(slot, &part);
                 let shard = Shard {
                     schedulable: part.schedulable(),
                     core: part,
                     platforms_version: 0,
                 };
                 if !shard.schedulable {
-                    world.core.unsched.insert(slot, shard.core.misses());
+                    core.unsched.insert(slot, shard.core.misses());
                 }
-                let index = world.slots.len();
-                world.slots.push(slot_cell_lock(index, Slot::Idle(shard)));
+                core.slots.push(Slot::Idle(shard));
             }
         }
         Ok(service)
@@ -831,10 +787,10 @@ impl SchedService {
             core.syncing = true;
             // Every record with ticket ≤ settled is already written, so
             // this sync covers them all. The byte count is captured under
-            // the same lock: appends happen while the world (hence the
-            // core) is held, so `bytes_written` here covers exactly the
-            // records of epochs ≤ `upto` — the consistent pair a
-            // replication subscriber is promised.
+            // the same lock: appends happen while the core is held, so
+            // `bytes_written` here covers exactly the records of epochs
+            // ≤ `upto` — the consistent pair a replication subscriber is
+            // promised.
             let upto = core.settled;
             let covered = upto.saturating_sub(core.synced);
             let journal = core.journal.as_ref().expect("checked above");
@@ -952,7 +908,7 @@ impl SchedService {
         &self,
         batch: Vec<AdmissionRequest>,
     ) -> Result<EngineResponse, EngineError> {
-        // Phase 1: reserve (wait out conflicts; writers drain in-flight).
+        // Phase 1: reserve (wait out conflicts; drains empty the pipeline).
         let reserve_started = Instant::now();
         let resv = self.reserve(&batch)?;
         let reserve_total_ns = elapsed_ns(reserve_started);
@@ -998,7 +954,7 @@ impl SchedService {
 
         // Attribute the epoch's wall time: route/checkout slices were
         // measured inside the winning reservation attempt, so the
-        // remainder (gate waits, stripe locking, contention retries) is
+        // remainder (gate waits, core locking, conflict waits, drains) is
         // the reserve slice and the five phases are disjoint.
         let timings = EpochTimings {
             reserve_ns: reserve_total_ns.saturating_sub(route_ns.saturating_add(checkout_ns)),
@@ -1018,325 +974,117 @@ impl SchedService {
         Ok(response)
     }
 
-    /// Phase 1 dispatch: transaction-level batches try the striped fast
-    /// path (retrying while contended); instance operations, topology
-    /// changes and poisoned states take the exclusive path.
+    /// Phase 1: locks the core once the admission gate is open, routes the
+    /// batch, checks its shards out and issues the ticket — all under the
+    /// one routing lock, so no settle can interleave between the routing
+    /// decision and the ticket (the decisions are made against exactly the
+    /// settled prefix the ticket position implies). A conflict waits on the
+    /// core's condvar and retries; instance operations, outstanding
+    /// utilization poison and topology-changing plans drain first.
     fn reserve(&self, batch: &[AdmissionRequest]) -> Result<Reservation, EngineError> {
+        let instance_ops = batch.iter().any(|r| {
+            matches!(
+                r,
+                AdmissionRequest::AddInstance { .. } | AdmissionRequest::RemoveInstance { .. }
+            )
+        });
+        if instance_ops {
+            return self.reserve_drained(batch);
+        }
+        let mut core = self.admitted_core();
         loop {
-            if self.fast_eligible(batch) {
-                match self.try_reserve_fast(batch)? {
-                    FastAttempt::Ready(resv) => return Ok(resv),
-                    FastAttempt::Fallback => {}
-                    FastAttempt::Contended(generation) => {
-                        self.await_generation(generation);
-                        continue;
-                    }
-                }
+            // Poison is only seeded at construction/rebuild and only ever
+            // cleared afterwards, so this drain path dies out for good.
+            if !core.util_poison.is_empty() {
+                drop(core);
+                return self.reserve_drained(batch);
             }
-            return self.reserve_exclusive(batch);
-        }
-    }
-
-    /// Whether the batch can route on the striped fast path: only
-    /// transaction-level requests (instance arrivals/departures flatten
-    /// across names no stripe footprint can be precomputed for), and no
-    /// utilization poison outstanding (the parity scan must see every
-    /// platform). Poison is monotone-clearing, so a `false` read here is
-    /// final.
-    fn fast_eligible(&self, batch: &[AdmissionRequest]) -> bool {
-        !self.poison_present.load(Ordering::Acquire)
-            && batch.iter().all(|r| {
-                matches!(
-                    r,
-                    AdmissionRequest::AddTransaction(_)
-                        | AdmissionRequest::RemoveTransaction { .. }
-                        | AdmissionRequest::Retune { .. }
-                )
-            })
-    }
-
-    /// Waits at the admission gate until no writer is queued and the
-    /// pipeline has depth to spare, then returns the gate generation to
-    /// retry against on contention.
-    fn admission_gate(&self) -> u64 {
-        let mut gate = self.lock_gate();
-        loop {
-            if gate.writers_waiting > 0 {
-                gate = self.conflict.wait(gate).expect("gate poisoned");
-                continue;
-            }
-            if self.issued.load(Ordering::Acquire) - gate.settled >= self.max_inflight {
-                gate = self.capacity.wait(gate).expect("gate poisoned");
-                continue;
-            }
-            return gate.generation;
-        }
-    }
-
-    /// Sleeps until the gate generation moves past `generation` (an epoch
-    /// settled or a writer left — the only events that can clear a
-    /// conflict).
-    fn await_generation(&self, generation: u64) {
-        let mut gate = self.lock_gate();
-        while gate.generation == generation {
-            gate = self.conflict.wait(gate).expect("gate poisoned");
-        }
-    }
-
-    /// One striped reservation attempt. Locks only the stripes in the
-    /// batch's footprint plus a shared slot-table guard, routes, checks
-    /// the shards out cell by cell, and issues the ticket under the gate —
-    /// holding the stripes throughout, so no settle can interleave between
-    /// the routing decision and the ticket (the decisions are made against
-    /// exactly the settled prefix the ticket position implies).
-    fn try_reserve_fast(&self, batch: &[AdmissionRequest]) -> Result<FastAttempt, EngineError> {
-        let generation = self.admission_gate();
-
-        // Stripe footprint straight from the batch literals (out-of-range
-        // platforms included — locking their stripe is harmless and the
-        // route bounds-check needs nothing more).
-        let mut name_footprint = [false; STRIPE_COUNT];
-        let mut plat_footprint = [false; STRIPE_COUNT];
-        for request in batch {
-            match request {
-                AdmissionRequest::AddTransaction(tx) => {
-                    name_footprint[name_stripe(&tx.name)] = true;
-                    for task in tx.tasks() {
-                        plat_footprint[platform_stripe(task.platform.0)] = true;
-                    }
-                }
-                AdmissionRequest::RemoveTransaction { name } => {
-                    name_footprint[name_stripe(name)] = true;
-                }
-                AdmissionRequest::Retune { platform, .. } => {
-                    plat_footprint[platform_stripe(platform.0)] = true;
-                }
-                _ => unreachable!("fast path screens request kinds"),
-            }
-        }
-        let mut name_guards: Vec<(usize, MutexGuard<'_, NameStripe>)> = Vec::new();
-        for (i, wanted) in name_footprint.iter().enumerate() {
-            if *wanted {
-                name_guards.push((i, self.names[i].lock().expect("name stripe poisoned")));
-            }
-        }
-        let mut plat_guards: Vec<(usize, MutexGuard<'_, PlatStripe>)> = Vec::new();
-        for (i, wanted) in plat_footprint.iter().enumerate() {
-            if *wanted {
-                plat_guards.push((i, self.plats[i].lock().expect("platform stripe poisoned")));
-            }
-        }
-        let slots = self.slots.read().expect("slot table poisoned");
-
-        let view = FastView {
-            names: &name_guards,
-            plats: &plat_guards,
-            platform_count: self.platform_count,
-        };
-        let route_started = Instant::now();
-        let route_outcome = route(&view, batch);
-        let route_ns = elapsed_ns(route_started);
-        let routed = match route_outcome {
-            RouteOutcome::Blocked => {
-                self.metrics.fast_conflicts.incr();
-                return Ok(FastAttempt::Contended(generation));
-            }
-            RouteOutcome::Structural(message) => {
-                // Still holding the stripes: the structural verdict was
-                // made against this ticket position's state and must be
-                // ticketed before any settle can change it.
-                let gate = self.lock_gate();
-                if gate.writers_waiting > 0
-                    || self.issued.load(Ordering::Acquire) - gate.settled >= self.max_inflight
-                {
+            let route_started = Instant::now();
+            let route_outcome = route(&core, batch);
+            let route_ns = elapsed_ns(route_started);
+            let routed = match route_outcome {
+                RouteOutcome::Blocked => {
                     self.metrics.fast_conflicts.incr();
-                    return Ok(FastAttempt::Contended(generation));
+                    // Pass the capacity baton: this thread may have
+                    // consumed a capacity wakeup it cannot use yet.
+                    self.capacity.notify_one();
+                    drop(self.conflict.wait(core).expect("service core poisoned"));
+                    core = self.admitted_core();
+                    continue;
                 }
-                let ticket = self.issued.fetch_add(1, Ordering::AcqRel) + 1;
-                drop(gate);
-                self.metrics.fast_reservations.incr();
-                return Ok(FastAttempt::Ready(Reservation {
-                    ticket,
-                    groups: Vec::new(),
-                    shards: Vec::new(),
-                    removed_instance_txns: Vec::new(),
-                    claimed_names: Vec::new(),
-                    claimed_free: Vec::new(),
-                    touched_platforms: Vec::new(),
-                    early: Some(RejectReason::Structural(message)),
-                    route_ns,
-                    checkout_ns: 0,
-                }));
+                RouteOutcome::Structural(message) => {
+                    self.metrics.fast_reservations.incr();
+                    return Ok(self.ticket_early(RejectReason::Structural(message), route_ns));
+                }
+                RouteOutcome::Routed(routed) => routed,
+            };
+            let drafts = plan_groups(&routed.keys, core.slots.len(), core.platforms.len());
+            if drafts.iter().any(GroupDraft::changes_topology) {
+                self.metrics.fast_fallbacks.incr();
+                drop(core);
+                return self.reserve_drained(batch);
             }
-            RouteOutcome::Routed(routed) => routed,
-        };
-
-        let drafts = plan_groups(&routed.keys, slots.len(), self.platform_count);
-        if drafts.iter().any(|d| d.changes_topology()) {
-            self.metrics.fast_fallbacks.incr();
-            return Ok(FastAttempt::Fallback);
-        }
-
-        // Checkout, one cell at a time; a Busy marker is a conflict.
-        let checkout_started = Instant::now();
-        let mut groups: Vec<Group> = Vec::with_capacity(drafts.len());
-        let mut shards: Vec<Shard> = Vec::new();
-        let mut conflicted = false;
-        for draft in drafts {
-            let slot = draft.member_slots[0];
-            let mut cell = slots[slot].lock().expect("slot cell poisoned");
-            match std::mem::replace(&mut *cell, Slot::Busy) {
-                Slot::Idle(shard) => {
-                    drop(cell);
-                    shards.push(shard);
-                    groups.push(Group {
-                        slot,
-                        requests: draft.requests,
-                    });
-                }
-                other => {
-                    *cell = other;
-                    drop(cell);
-                    conflicted = true;
-                    break;
-                }
-            }
-        }
-        if !conflicted {
-            // Lazy platform re-sync for shards that missed a retune epoch.
-            let master_version = self.platforms_version.load(Ordering::Acquire);
-            if shards.iter().any(|s| s.platforms_version != master_version) {
-                let core = self.lock_core();
-                for shard in &mut shards {
-                    if let Err(e) = core.sync_shard_platforms(shard) {
-                        drop(core);
-                        self.return_shards(&slots, &groups, shards);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let checkout_ns = elapsed_ns(checkout_started);
-
-        // Ticket under the gate, re-verifying fairness and capacity (a
-        // sibling may have ticketed or a writer queued since the gate).
-        if !conflicted {
-            let gate = self.lock_gate();
-            if gate.writers_waiting == 0
-                && self.issued.load(Ordering::Acquire) - gate.settled < self.max_inflight
-            {
-                let ticket = self.issued.fetch_add(1, Ordering::AcqRel) + 1;
-                drop(gate);
-                for name in &routed.mentioned {
-                    let s = name_stripe(name);
-                    let (_, guard) = name_guards
-                        .iter_mut()
-                        .find(|(i, _)| *i == s)
-                        .expect("mentioned name inside footprint");
-                    guard.pending.insert(name.clone());
-                }
-                for p in &routed.free_platforms {
-                    let s = platform_stripe(*p);
-                    let (_, guard) = plat_guards
-                        .iter_mut()
-                        .find(|(i, _)| *i == s)
-                        .expect("claimed platform inside footprint");
-                    guard.pending_free.insert(*p);
-                }
-                self.metrics.fast_reservations.incr();
-                return Ok(FastAttempt::Ready(Reservation {
-                    ticket,
-                    groups,
-                    shards,
-                    removed_instance_txns: routed.removed_instance_txns,
-                    claimed_names: routed.mentioned,
-                    claimed_free: routed.free_platforms,
-                    // Poison is empty on this path (fast_eligible), so the
-                    // settle-time poison clearing has nothing to do.
-                    touched_platforms: Vec::new(),
-                    early: None,
-                    route_ns,
-                    checkout_ns,
-                }));
-            }
-        }
-
-        self.return_shards(&slots, &groups, shards);
-        // Pass the capacity baton: this thread may have consumed a
-        // capacity wakeup it could not use.
-        self.capacity.notify_one();
-        self.metrics.fast_conflicts.incr();
-        Ok(FastAttempt::Contended(generation))
-    }
-
-    /// Rolls a failed fast checkout back: every taken shard returns to its
-    /// idle slot.
-    fn return_shards(&self, slots: &[Mutex<Slot>], groups: &[Group], shards: Vec<Shard>) {
-        for (group, shard) in groups.iter().zip(shards) {
-            *slots[group.slot].lock().expect("slot cell poisoned") = Slot::Idle(shard);
+            self.metrics.fast_reservations.incr();
+            return self.check_out(&mut core, drafts, routed, Vec::new(), route_ns);
         }
     }
 
-    /// The exclusive reserve path (instance operations, topology changes,
-    /// poison parity): registers as a writer — gating new fast
-    /// reservations off — drains the pipeline, and routes against the
-    /// whole world. The writer mark is dropped (and sleepers woken) on
-    /// every exit, success or error.
-    fn reserve_exclusive(&self, batch: &[AdmissionRequest]) -> Result<Reservation, EngineError> {
-        self.metrics.exclusive_drains.incr();
-        {
-            let mut gate = self.lock_gate();
-            gate.writers_waiting += 1;
-        }
-        let result = self.reserve_exclusive_inner(batch);
-        {
-            let mut gate = self.lock_gate();
-            gate.writers_waiting -= 1;
-            gate.generation += 1;
-        }
-        self.conflict.notify_all();
-        result
-    }
-
-    /// Drain-then-lock loop: waits for the pipeline to drain, locks the
-    /// world, and re-verifies the drain actually held (another writer may
-    /// have ticketed between our wakeup and the world acquisition).
-    fn reserve_exclusive_inner(
-        &self,
-        batch: &[AdmissionRequest],
-    ) -> Result<Reservation, EngineError> {
+    /// Locks the core once the admission gate is open: no drain queued and
+    /// the pipeline has depth to spare. The gate is re-read under the core
+    /// — every ticket is issued with the core held, so the capacity seen
+    /// here still holds when this guard's epoch is ticketed.
+    fn admitted_core(&self) -> MutexGuard<'_, Core> {
         loop {
             {
                 let mut gate = self.lock_gate();
-                while self.issued.load(Ordering::Acquire) != gate.settled {
-                    gate = self.turn.wait(gate).expect("gate poisoned");
+                loop {
+                    if gate.drains_waiting > 0 {
+                        gate = self.turn.wait(gate).expect("gate poisoned");
+                    } else if !self.has_capacity(&gate) {
+                        gate = self.capacity.wait(gate).expect("gate poisoned");
+                    } else {
+                        break;
+                    }
                 }
             }
-            let mut world = self.world();
-            let drained = {
-                let gate = self.lock_gate();
-                self.issued.load(Ordering::Acquire) == gate.settled
-            };
-            if !drained {
-                drop(world);
-                continue;
+            let core = self.lock_core();
+            let gate = self.lock_gate();
+            if gate.drains_waiting == 0 && self.has_capacity(&gate) {
+                return core;
             }
-            return self.reserve_in_world(&mut world, batch);
         }
     }
 
-    /// Routes and reserves one epoch against an exclusively held, drained
-    /// world — the port of the original single-lock reserve. With the
-    /// pipeline drained there is nothing to conflict with, so `Blocked`
-    /// outcomes are internal errors, capacity is irrelevant (in-flight is
-    /// zero), and the healer-in-flight poison deferral cannot trigger.
-    fn reserve_in_world(
+    /// Whether the pipeline has room for one more in-flight epoch.
+    fn has_capacity(&self, gate: &Gate) -> bool {
+        self.issued.load(Ordering::Acquire) - gate.settled < self.max_inflight
+    }
+
+    /// The draining reserve (instance operations, topology changes, poison
+    /// parity): queues as a drain — holding new reservations off — waits
+    /// for the pipeline to empty, and routes against a core with nothing
+    /// in flight. The drain mark is dropped (and waiters woken) on every
+    /// exit, success or error.
+    fn reserve_drained(&self, batch: &[AdmissionRequest]) -> Result<Reservation, EngineError> {
+        self.metrics.exclusive_drains.incr();
+        self.lock_gate().drains_waiting += 1;
+        let result = self.reserve_in_drained(&mut self.quiescent_core(), batch);
+        self.lock_gate().drains_waiting -= 1;
+        self.turn.notify_all();
+        result
+    }
+
+    /// Routes and reserves one epoch against a drained core. With nothing
+    /// in flight there is nothing to conflict with, so `Blocked` outcomes
+    /// are internal errors and the healer-in-flight poison deferral cannot
+    /// trigger.
+    fn reserve_in_drained(
         &self,
-        world: &mut World<'_>,
+        core: &mut Core,
         batch: &[AdmissionRequest],
     ) -> Result<Reservation, EngineError> {
         let route_started = Instant::now();
-        let route_outcome = route(&*world, batch);
+        let route_outcome = route(core, batch);
         let route_ns = elapsed_ns(route_started);
         let routed = match route_outcome {
             RouteOutcome::Blocked => {
@@ -1345,7 +1093,7 @@ impl SchedService {
                 ))
             }
             RouteOutcome::Structural(message) => {
-                return Ok(self.ticket_early(RejectReason::Structural(message)));
+                return Ok(self.ticket_early(RejectReason::Structural(message), route_ns));
             }
             RouteOutcome::Routed(routed) => routed,
         };
@@ -1354,39 +1102,56 @@ impl SchedService {
         // not touch rejects exactly like the single controller's global
         // utilization scan (touched islands re-run their own checked scan
         // inside the shard commit and heal or re-reject there).
-        let touched = world.touched_platform_set(&routed.keys);
-        let poison = world
-            .core
+        let touched = core.touched_platform_set(&routed.keys);
+        let poison = core
             .util_poison
             .iter()
             .find(|(p, _)| !touched.contains(*p))
             .map(|(_, message)| message.clone());
         if let Some(message) = poison {
-            return Ok(self.ticket_early(RejectReason::Numeric(message)));
+            return Ok(self.ticket_early(RejectReason::Numeric(message), route_ns));
         }
 
+        let drafts = plan_groups(&routed.keys, core.slots.len(), core.platforms.len());
+        self.check_out(
+            core,
+            drafts,
+            routed,
+            touched.into_iter().collect(),
+            route_ns,
+        )
+    }
+
+    /// Realizes the planned groups (merges and fresh shards only ever
+    /// reach here drained), checks their shards out of the slot table with
+    /// a lazy platform re-sync, issues the ticket and records the epoch's
+    /// claims.
+    fn check_out(
+        &self,
+        core: &mut Core,
+        drafts: Vec<GroupDraft>,
+        routed: Routed,
+        touched_platforms: Vec<usize>,
+        route_ns: u64,
+    ) -> Result<Reservation, EngineError> {
         let checkout_started = Instant::now();
-        let drafts = plan_groups(&routed.keys, world.slots.len(), self.platform_count);
-        let groups = world.apply_groups(drafts)?;
+        let groups = core.apply_groups(drafts)?;
         let mut shards = Vec::with_capacity(groups.len());
         for group in &groups {
-            let Slot::Idle(mut shard) = std::mem::replace(world.slot_mut(group.slot), Slot::Busy)
+            let Slot::Idle(mut shard) = std::mem::replace(&mut core.slots[group.slot], Slot::Busy)
             else {
                 return Err(EngineError::Internal(
                     "checkout of a non-idle slot".to_string(),
                 ));
             };
-            world.core.sync_shard_platforms(&mut shard)?;
+            core.sync_shard_platforms(&mut shard)?;
             shards.push(shard);
         }
         let checkout_ns = elapsed_ns(checkout_started);
         let ticket = self.ticket();
-        for name in &routed.mentioned {
-            world.names[name_stripe(name)].pending.insert(name.clone());
-        }
-        for p in &routed.free_platforms {
-            world.plats[platform_stripe(*p)].pending_free.insert(*p);
-        }
+        core.pending_names.extend(routed.mentioned.iter().cloned());
+        core.pending_free
+            .extend(routed.free_platforms.iter().copied());
         Ok(Reservation {
             ticket,
             groups,
@@ -1394,15 +1159,15 @@ impl SchedService {
             removed_instance_txns: routed.removed_instance_txns,
             claimed_names: routed.mentioned,
             claimed_free: routed.free_platforms,
-            touched_platforms: touched.into_iter().collect(),
+            touched_platforms,
             early: None,
             route_ns,
             checkout_ns,
         })
     }
 
-    /// Issues the next epoch ticket (under the gate — `issued` only moves
-    /// while the gate is held, so gate-side reads stay exact).
+    /// Issues the next epoch ticket. Callers hold the core; the gate is
+    /// taken too, so `issued` reads under either lock stay exact.
     fn ticket(&self) -> u64 {
         let _gate = self.lock_gate();
         self.issued.fetch_add(1, Ordering::AcqRel) + 1
@@ -1410,7 +1175,7 @@ impl SchedService {
 
     /// Tickets an epoch whose rejection was decided at reserve time
     /// (structural / numeric parity): no shards, no claims.
-    fn ticket_early(&self, reason: RejectReason) -> Reservation {
+    fn ticket_early(&self, reason: RejectReason, route_ns: u64) -> Reservation {
         Reservation {
             ticket: self.ticket(),
             groups: Vec::new(),
@@ -1420,12 +1185,12 @@ impl SchedService {
             claimed_free: Vec::new(),
             touched_platforms: Vec::new(),
             early: Some(reason),
-            route_ns: 0,
+            route_ns,
             checkout_ns: 0,
         }
     }
 
-    /// Phase 3: waits for this ticket's turn, locks the world, settles the
+    /// Phase 3: waits for this ticket's turn, locks the core, settles the
     /// epoch, releases the claims, and publishes the new settled ticket.
     #[allow(clippy::too_many_arguments)]
     fn settle_epoch(
@@ -1448,15 +1213,11 @@ impl SchedService {
         }
         // This thread is now the unique settler; in-flight siblings are
         // analyzing (holding only their checked-out shards) or queued
-        // behind us on the turn, so the world acquisition only ever waits
-        // on reservations mid-flight — which never block holding stripes.
-        let mut world = self.world();
-        let journal_before = world
-            .core
-            .journal
-            .as_ref()
-            .map(JournalWriter::bytes_written);
-        let result = world.settle(
+        // behind us on the turn, so the core acquisition only ever waits
+        // on reservations mid-flight — which never block holding the core.
+        let mut core = self.lock_core();
+        let journal_before = core.journal.as_ref().map(JournalWriter::bytes_written);
+        let result = core.settle(
             ticket,
             batch,
             groups,
@@ -1465,7 +1226,7 @@ impl SchedService {
             touched_platforms,
             early,
         );
-        if let (Some(before), Some(journal)) = (journal_before, world.core.journal.as_ref()) {
+        if let (Some(before), Some(journal)) = (journal_before, core.journal.as_ref()) {
             // Bytes the settle appended for this epoch's record (the
             // journal only ever grows between here and the pre-settle
             // read — compaction rewrites drain the pipeline first).
@@ -1476,22 +1237,14 @@ impl SchedService {
             }
         }
         for name in &claimed_names {
-            world.names[name_stripe(name)].pending.remove(name);
+            core.pending_names.remove(name);
         }
         for p in &claimed_free {
-            world.plats[platform_stripe(*p)].pending_free.remove(p);
+            core.pending_free.remove(p);
         }
-        world.core.settled = ticket;
-        self.poison_present
-            .store(!world.core.util_poison.is_empty(), Ordering::Release);
-        self.platforms_version
-            .store(world.core.platforms_version, Ordering::Release);
-        drop(world);
-        {
-            let mut gate = self.lock_gate();
-            gate.settled = ticket;
-            gate.generation += 1;
-        }
+        core.settled = ticket;
+        drop(core);
+        self.lock_gate().settled = ticket;
         self.turn.notify_all();
         self.capacity.notify_one();
         self.conflict.notify_all();
@@ -1531,7 +1284,9 @@ impl SchedService {
         core.last_compact_epoch = core.settled;
     }
 
-    fn lock_core(&self) -> MutexGuard<'_, Core> {
+    /// Locks the core as is (no drain) — also the snapshot rebuild's
+    /// access, single-threaded by construction.
+    pub(crate) fn lock_core(&self) -> MutexGuard<'_, Core> {
         self.core.lock().expect("service core poisoned")
     }
 
@@ -1539,35 +1294,12 @@ impl SchedService {
         self.gate.lock().expect("gate poisoned")
     }
 
-    /// Acquires the exclusive world view, in lock order: every name
-    /// stripe ascending, every platform stripe ascending, the slot table
-    /// write guard, the core.
-    fn world(&self) -> World<'_> {
-        let names = self
-            .names
-            .iter()
-            .map(|m| m.lock().expect("name stripe poisoned"))
-            .collect();
-        let plats = self
-            .plats
-            .iter()
-            .map(|m| m.lock().expect("platform stripe poisoned"))
-            .collect();
-        let slots = self.slots.write().expect("slot table poisoned");
-        let core = self.lock_core();
-        World {
-            names,
-            plats,
-            slots,
-            core,
-        }
-    }
-
-    /// Locks the service *quiescent*: waits until no epoch is in flight
-    /// (so every slot is `Vacant` or `Idle`), then takes the world,
-    /// re-verifying nothing ticketed in the window between the drain
-    /// observation and the world acquisition.
-    fn quiescent_world(&self) -> World<'_> {
+    /// Locks the core *quiescent*: waits until no epoch is in flight (so
+    /// every slot is `Vacant` or `Idle`), then takes the core, re-verifying
+    /// against the core's own settled mirror that nothing was ticketed in
+    /// the window between the drain observation and the acquisition
+    /// (tickets are only issued with the core held).
+    fn quiescent_core(&self) -> MutexGuard<'_, Core> {
         loop {
             {
                 let mut gate = self.lock_gate();
@@ -1575,26 +1307,15 @@ impl SchedService {
                     gate = self.turn.wait(gate).expect("gate poisoned");
                 }
             }
-            let world = self.world();
-            let drained = {
-                let gate = self.lock_gate();
-                self.issued.load(Ordering::Acquire) == gate.settled
-            };
-            if drained {
-                return world;
+            let core = self.lock_core();
+            if self.issued.load(Ordering::Acquire) == core.settled {
+                return core;
             }
-            drop(world);
         }
     }
 
-    /// World access for the snapshot rebuild path (single-threaded by
-    /// construction — the service was just seeded).
-    pub(crate) fn rebuild_world(&self) -> World<'_> {
-        self.world()
-    }
-
     /// Fast-forwards the epoch counters after a snapshot rebuild (the
-    /// world's own `settled` mirror is set by the rebuild itself). Only
+    /// core's own `settled` mirror is set by the rebuild itself). Only
     /// sound while no epoch is in flight.
     pub(crate) fn force_epoch(&self, epoch: u64) {
         self.issued.store(epoch, Ordering::Release);
@@ -1608,72 +1329,68 @@ impl SchedService {
 
     /// Epoch tickets settled (admitted + rejected).
     pub fn epoch(&self) -> u64 {
-        self.quiescent_world().core.settled
+        self.quiescent_core().settled
     }
 
     /// Live island-group shards.
     pub fn shard_count(&self) -> usize {
-        self.quiescent_world().shard_count()
+        self.quiescent_core().shard_count()
     }
 
     /// Live transactions across all shards.
     pub fn live_transactions(&self) -> usize {
-        self.quiescent_world().live_transactions()
+        self.quiescent_core().live_transactions()
     }
 
     /// `true` when every shard's live set meets its deadlines.
     pub fn schedulable(&self) -> bool {
-        let world = self.quiescent_world();
-        world.slots.iter().all(|cell| {
-            cell.lock()
-                .expect("slot cell poisoned")
-                .as_idle()
-                .is_none_or(|s| s.schedulable)
-        })
+        self.quiescent_core()
+            .slots
+            .iter()
+            .all(|slot| slot.as_idle().is_none_or(|s| s.schedulable))
     }
 
     /// The stable handle of a live transaction.
     pub fn resolve(&self, name: &str) -> Option<TxnId> {
-        self.quiescent_world().core.ids.get(name).copied()
+        self.quiescent_core().ids.get(name).copied()
     }
 
     /// The live transaction behind a handle.
     pub fn name_of(&self, id: TxnId) -> Option<String> {
-        self.quiescent_world().core.names.get(&id).cloned()
+        self.quiescent_core().names.get(&id).cloned()
     }
 
     /// Assembles the live transaction set across shards (slot order —
     /// deterministic, and reproduced exactly by a journal replay).
     pub fn current_set(&self) -> TransactionSet {
-        self.quiescent_world().current_set()
+        self.quiescent_core().current_set()
     }
 
     /// Assembles the component-system mirror across shards.
     pub fn system(&self) -> System {
-        self.quiescent_world().system()
+        self.quiescent_core().system()
     }
 
     /// Assembles the cached per-transaction results into a global report
     /// (index-aligned with [`SchedService::current_set`]). Exact for the
     /// same reason sharding is: the cache is island-local.
     pub fn report(&self) -> SchedulabilityReport {
-        self.quiescent_world().report()
+        self.quiescent_core().report()
     }
 
     /// Service-level stats in the controller's shape: epoch counters are
     /// the service's, analysis counters sum over the shards.
     pub fn stats(&self) -> ControllerStats {
-        let world = self.quiescent_world();
+        let core = self.quiescent_core();
         let mut stats = ControllerStats {
-            epochs: world.core.settled,
-            admitted: world.core.admitted_epochs,
-            rejected: world.core.rejected_epochs,
-            transactions_analyzed: world.core.retired_stats.transactions_analyzed,
-            analyses_avoided: world.core.retired_stats.analyses_avoided,
-            warm_epochs: world.core.retired_stats.warm_epochs,
+            epochs: core.settled,
+            admitted: core.admitted_epochs,
+            rejected: core.rejected_epochs,
+            transactions_analyzed: core.retired_stats.transactions_analyzed,
+            analyses_avoided: core.retired_stats.analyses_avoided,
+            warm_epochs: core.retired_stats.warm_epochs,
         };
-        for cell in world.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
+        for slot in &core.slots {
             if let Some(shard) = slot.as_idle() {
                 let s = shard.core.stats();
                 stats.transactions_analyzed += s.transactions_analyzed;
@@ -1707,19 +1424,19 @@ impl SchedService {
     /// --journal`, `hsched replay` and `hsched compact` all print it so a
     /// recovery can be verified with a string compare.
     pub fn state_digest(&self) -> String {
-        self.quiescent_world().state_digest()
+        self.quiescent_core().state_digest()
     }
 
     /// The settled epoch and its state digest as one consistent pair
-    /// (both read under a single quiescent world, so the digest is
+    /// (both read under a single quiescent core, so the digest is
     /// guaranteed to describe exactly that epoch — two separate
     /// [`SchedService::epoch`] / [`SchedService::state_digest`] calls can
     /// straddle a commit). Like every observer this drains the pipeline;
     /// a replication primary emits these as low-rate heartbeats, not per
     /// epoch.
     pub fn epoch_digest(&self) -> (u64, String) {
-        let world = self.quiescent_world();
-        (world.core.settled, world.state_digest())
+        let core = self.quiescent_core();
+        (core.settled, core.state_digest())
     }
 
     /// The durable journal high-water mark as a consistent
@@ -1759,20 +1476,18 @@ impl SchedService {
     ///
     /// Errors when no journal is attached.
     pub fn snapshot(&self) -> Result<SnapshotInfo, EngineError> {
-        let mut world = self.quiescent_world();
-        let Some(journal) = &world.core.journal else {
+        let mut core = self.quiescent_core();
+        let Some(journal) = &core.journal else {
             return Err(EngineError::Journal(
                 "snapshot requires an attached journal".to_string(),
             ));
         };
         let path = journal.path().to_path_buf();
-        let digest = world.state_digest();
-        let snap = world.capture_snapshot(&digest);
+        let digest = core.state_digest();
+        let snap = core.capture_snapshot(&digest);
         let block = snap.encode_block();
-        let mut writer =
-            JournalWriter::rewrite_with_snapshot(&path, world.core.platforms.len(), &block)?;
+        let mut writer = JournalWriter::rewrite_with_snapshot(&path, core.platforms.len(), &block)?;
         let compacted_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let core = &mut *world.core;
         // Compaction replaces the writer wholesale; durable-append
         // registrations survive, and subscribers are told the prefix
         // *shrank* (a streamer that shipped past the new mark must reset
@@ -1793,7 +1508,7 @@ impl SchedService {
             digest,
             compacted_bytes,
         };
-        drop(world);
+        drop(core);
         if !subscribers.is_empty() {
             let mark = DurableMark {
                 bytes: info.compacted_bytes,
@@ -1818,72 +1533,50 @@ fn default_max_inflight() -> u64 {
         .unwrap_or(1)
 }
 
-impl World<'_> {
-    /// The slot cell behind `slot`, borrowed through the table's write
-    /// guard (no lock traffic).
-    pub(crate) fn slot_mut(&mut self, slot: usize) -> &mut Slot {
-        self.slots[slot].get_mut().expect("slot cell poisoned")
+impl Core {
+    /// Places a shard in the first vacant slot (or a new one). Drained
+    /// epochs only — slot choice must be deterministic in ticket order,
+    /// which the drain (empty the pipeline first) guarantees.
+    pub(crate) fn allocate_slot(&mut self, shard: Shard) -> usize {
+        let slot = self.vacant_slot();
+        self.slots[slot] = Slot::Idle(shard);
+        slot
     }
 
-    /// Places a shard in the first vacant slot (or a new one). Exclusive
-    /// path only — slot choice must be deterministic in ticket order,
-    /// which the writer gate (drain in-flight epochs first) guarantees.
-    pub(crate) fn allocate_slot(&mut self, shard: Shard) -> usize {
-        let vacant = self
-            .slots
-            .iter_mut()
-            .position(|cell| cell.get_mut().expect("slot cell poisoned").is_vacant());
-        match vacant {
-            Some(slot) => {
-                *self.slot_mut(slot) = Slot::Idle(shard);
-                slot
-            }
+    /// The first vacant slot, appending one when every slot is taken.
+    fn vacant_slot(&mut self) -> usize {
+        match self.slots.iter().position(Slot::is_vacant) {
+            Some(slot) => slot,
             None => {
-                let index = self.slots.len();
-                self.slots.push(slot_cell_lock(index, Slot::Idle(shard)));
-                index
+                self.slots.push(Slot::Vacant);
+                self.slots.len() - 1
             }
         }
     }
 
-    /// Registers a shard's members in the striped home maps.
+    /// Registers a shard's members in the home maps.
     pub(crate) fn index_shard(&mut self, slot: usize, core: &AdmissionController) {
         for tx in core.current_set().transactions() {
-            self.names[name_stripe(&tx.name)]
-                .txn_home
-                .insert(tx.name.clone(), slot);
+            self.txn_home.insert(tx.name.clone(), slot);
             for task in tx.tasks() {
-                self.plats[platform_stripe(task.platform.0)]
-                    .home
-                    .insert(task.platform.0, slot);
+                self.platform_home.insert(task.platform.0, slot);
             }
         }
         for (_, instance) in core.system().instances() {
-            self.names[name_stripe(&instance.name)]
-                .instance_home
-                .insert(instance.name.clone(), slot);
+            self.instance_home.insert(instance.name.clone(), slot);
         }
     }
 
     /// Points every home-map entry of `from` at `to` (after a merge).
     pub(crate) fn reassign_home(&mut self, from: usize, to: usize) {
-        for stripe in self.plats.iter_mut() {
-            for home in stripe.home.values_mut() {
-                if *home == from {
-                    *home = to;
-                }
-            }
-        }
-        for stripe in self.names.iter_mut() {
-            for home in stripe.txn_home.values_mut() {
-                if *home == from {
-                    *home = to;
-                }
-            }
-            for home in stripe.instance_home.values_mut() {
-                if *home == from {
-                    *home = to;
-                }
+        let homes = self
+            .platform_home
+            .values_mut()
+            .chain(self.txn_home.values_mut())
+            .chain(self.instance_home.values_mut());
+        for home in homes {
+            if *home == from {
+                *home = to;
             }
         }
     }
@@ -1892,7 +1585,7 @@ impl World<'_> {
     /// transactions.
     fn drop_empty_shards(&mut self, slots: impl Iterator<Item = usize>) {
         for slot in slots {
-            let cell = self.slots[slot].get_mut().expect("slot cell poisoned");
+            let cell = &mut self.slots[slot];
             let empty = cell
                 .as_idle()
                 .is_some_and(|s| s.core.current_set().transactions().is_empty());
@@ -1900,11 +1593,9 @@ impl World<'_> {
                 let Slot::Idle(retired) = std::mem::replace(cell, Slot::Vacant) else {
                     unreachable!("checked idle above");
                 };
-                self.core.retire_stats(&retired.core);
-                self.core.unsched.remove(&slot);
-                for stripe in self.plats.iter_mut() {
-                    stripe.home.retain(|_, home| *home != slot);
-                }
+                self.retire_stats(&retired.core);
+                self.unsched.remove(&slot);
+                self.platform_home.retain(|_, home| *home != slot);
             }
         }
     }
@@ -1914,46 +1605,33 @@ impl World<'_> {
     /// ticket order, so the vacant-slot choices here are deterministic.
     fn repartition(&mut self, touched: &[usize]) {
         let affected: HashSet<usize> = touched.iter().copied().collect();
-        for stripe in self.plats.iter_mut() {
-            stripe.home.retain(|_, home| !affected.contains(home));
-        }
+        self.platform_home
+            .retain(|_, home| !affected.contains(home));
         let mut slots: Vec<usize> = touched.to_vec();
         slots.sort_unstable();
         slots.dedup();
         for slot in slots {
-            let cell = self.slots[slot].get_mut().expect("slot cell poisoned");
-            let Slot::Idle(shard) = std::mem::replace(cell, Slot::Vacant) else {
+            let Slot::Idle(shard) = std::mem::replace(&mut self.slots[slot], Slot::Vacant) else {
                 continue;
             };
             if shard.core.current_set().transactions().is_empty() {
-                self.core.retire_stats(&shard.core);
+                self.retire_stats(&shard.core);
                 continue; // slot stays vacant
             }
             let mut parts = shard.core.split_islands().into_iter();
             let version = shard.platforms_version;
             if let Some(first) = parts.next() {
                 self.index_shard(slot, &first);
-                *self.slot_mut(slot) = Slot::Idle(Shard {
+                self.slots[slot] = Slot::Idle(Shard {
                     schedulable: first.schedulable(),
                     core: first,
                     platforms_version: version,
                 });
             }
             for part in parts {
-                let vacant = self
-                    .slots
-                    .iter_mut()
-                    .position(|cell| cell.get_mut().expect("slot cell poisoned").is_vacant());
-                let part_slot = match vacant {
-                    Some(vacant) => vacant,
-                    None => {
-                        let index = self.slots.len();
-                        self.slots.push(slot_cell_lock(index, Slot::Vacant));
-                        index
-                    }
-                };
+                let part_slot = self.vacant_slot();
                 self.index_shard(part_slot, &part);
-                *self.slot_mut(part_slot) = Slot::Idle(Shard {
+                self.slots[part_slot] = Slot::Idle(Shard {
                     schedulable: part.schedulable(),
                     core: part,
                     platforms_version: version,
@@ -1972,17 +1650,17 @@ impl World<'_> {
         for (i, request) in batch.iter().enumerate() {
             match request {
                 AdmissionRequest::RemoveTransaction { name } => {
-                    self.names[name_stripe(name)].txn_home.remove(name);
-                    if let Some(id) = self.core.ids.remove(name) {
-                        self.core.names.remove(&id);
+                    self.txn_home.remove(name);
+                    if let Some(id) = self.ids.remove(name) {
+                        self.names.remove(&id);
                     }
                 }
                 AdmissionRequest::RemoveInstance { name } => {
-                    self.names[name_stripe(name)].instance_home.remove(name);
+                    self.instance_home.remove(name);
                     for txn in &removed_instance_txns[i] {
-                        self.names[name_stripe(txn)].txn_home.remove(txn);
-                        if let Some(id) = self.core.ids.remove(txn) {
-                            self.core.names.remove(&id);
+                        self.txn_home.remove(txn);
+                        if let Some(id) = self.ids.remove(txn) {
+                            self.names.remove(&id);
                         }
                     }
                 }
@@ -1998,28 +1676,21 @@ impl World<'_> {
         for request in batch {
             match request {
                 AdmissionRequest::AddTransaction(tx) => {
-                    let live = self.names[name_stripe(&tx.name)]
-                        .txn_home
-                        .contains_key(&tx.name);
-                    if live && !self.core.ids.contains_key(&tx.name) {
-                        minted.push(self.core.mint_id(&tx.name));
+                    let live = self.txn_home.contains_key(&tx.name);
+                    if live && !self.ids.contains_key(&tx.name) {
+                        minted.push(self.mint_id(&tx.name));
                     }
                 }
                 AdmissionRequest::AddInstance { name, .. } => {
-                    let home = self.names[name_stripe(name)]
-                        .instance_home
-                        .get(name)
-                        .copied();
-                    if let Some(slot) = home {
-                        let txns = self
-                            .slot_mut(slot)
+                    if let Some(&slot) = self.instance_home.get(name) {
+                        let txns = self.slots[slot]
                             .as_idle()
                             .expect("instance home live")
                             .core
                             .transactions_of_instance(name);
                         for txn in txns {
-                            if !self.core.ids.contains_key(&txn) {
-                                minted.push(self.core.mint_id(&txn));
+                            if !self.ids.contains_key(&txn) {
+                                minted.push(self.mint_id(&txn));
                             }
                         }
                     }
@@ -2062,7 +1733,6 @@ impl World<'_> {
         // state cannot change before this epoch in the ticket order.
         let global_misses: Vec<String> = if all_admitted {
             let mut by_slot: BTreeMap<usize, Vec<String>> = self
-                .core
                 .unsched
                 .iter()
                 .filter(|(slot, _)| !slots.contains(slot))
@@ -2073,8 +1743,7 @@ impl World<'_> {
                     by_slot.insert(group.slot, shard.core.misses());
                 }
             }
-            self.core
-                .order_misses(by_slot.into_values().flatten().collect(), batch)
+            self.order_misses(by_slot.into_values().flatten().collect(), batch)
         } else {
             Vec::new()
         };
@@ -2090,7 +1759,7 @@ impl World<'_> {
                 }
             }
             let reason = if !all_admitted {
-                self.core.aggregate_reason(batch, &groups, &outcomes)
+                self.aggregate_reason(batch, &groups, &outcomes)
             } else {
                 RejectReason::Unschedulable {
                     misses: global_misses,
@@ -2099,11 +1768,11 @@ impl World<'_> {
             // Return the shards and refresh their at-rest bookkeeping.
             for (group, shard) in groups.iter().zip(shards) {
                 if shard.schedulable {
-                    self.core.unsched.remove(&group.slot);
+                    self.unsched.remove(&group.slot);
                 } else {
-                    self.core.unsched.insert(group.slot, shard.core.misses());
+                    self.unsched.insert(group.slot, shard.core.misses());
                 }
-                *self.slot_mut(group.slot) = Slot::Idle(shard);
+                self.slots[group.slot] = Slot::Idle(shard);
             }
             self.drop_empty_shards(slots.iter().copied());
             let mut response = self.finish_rejected(ticket, batch, reason, slots)?;
@@ -2118,50 +1787,40 @@ impl World<'_> {
         // O(batch + touched-shard members), never O(live set).
         let retunes = capture_retunes(batch, &groups, &shards);
         for (group, shard) in groups.iter().zip(shards) {
-            *self.slot_mut(group.slot) = Slot::Idle(shard);
+            self.slots[group.slot] = Slot::Idle(shard);
         }
         // Admission required *every* shard schedulable, so the at-rest
         // unschedulable map and the touched platforms' poison entries are
         // both clear now.
-        self.core.unsched.clear();
+        self.unsched.clear();
         for p in &touched_platforms {
-            self.core.util_poison.remove(p);
+            self.util_poison.remove(p);
         }
         self.unindex_departures(batch, &removed_instance_txns);
         self.repartition(&slots);
+        // Retunes land in the master copy only. Every shard — including
+        // ones checked out by siblings right now — keeps the version it
+        // last synced against and catches up lazily at its next checkout
+        // or merge ([`Core::sync_shard_platforms`]).
         if !retunes.is_empty() {
-            self.core.platforms_version += 1;
+            self.platforms_version += 1;
             for (platform, value) in retunes {
-                self.core.platforms.replace(platform, value.clone());
-                for cell in self.slots.iter_mut() {
-                    if let Slot::Idle(shard) = cell.get_mut().expect("slot cell poisoned") {
-                        shard
-                            .core
-                            .sync_platform(platform, value.clone())
-                            .map_err(EngineError::Internal)?;
-                    }
-                }
-            }
-            let version = self.core.platforms_version;
-            for cell in self.slots.iter_mut() {
-                if let Slot::Idle(shard) = cell.get_mut().expect("slot cell poisoned") {
-                    shard.platforms_version = version;
-                }
+                self.platforms.replace(platform, value);
             }
         }
         let admitted_ids = self.mint_arrival_ids(batch);
 
-        if let Some(journal) = &mut self.core.journal {
+        if let Some(journal) = &mut self.journal {
             if let Err(e) = journal.append_nosync(ticket, batch, true) {
                 // Memory has already applied this epoch; the journal has
                 // not. Poison durability so no later sync can claim a
                 // watermark covering an epoch the journal never recorded.
                 let message = format!("journal append failed: {e}");
-                self.core.sync_error = Some(message.clone());
+                self.sync_error = Some(message.clone());
                 return Err(EngineError::Journal(message));
             }
         }
-        self.core.admitted_epochs += 1;
+        self.admitted_epochs += 1;
         Ok(EngineResponse {
             version: SCHEMA_VERSION,
             epoch: ticket,
@@ -2190,16 +1849,16 @@ impl World<'_> {
         reason: RejectReason,
         slots: Vec<usize>,
     ) -> Result<EngineResponse, EngineError> {
-        if let Some(journal) = &mut self.core.journal {
+        if let Some(journal) = &mut self.journal {
             if let Err(e) = journal.append_nosync(ticket, batch, false) {
                 // Same sticky poison as the admitted path: the epoch
                 // counter has advanced past a record the journal lacks.
                 let message = format!("journal append failed: {e}");
-                self.core.sync_error = Some(message.clone());
+                self.sync_error = Some(message.clone());
                 return Err(EngineError::Journal(message));
             }
         }
-        self.core.rejected_epochs += 1;
+        self.rejected_epochs += 1;
         Ok(EngineResponse {
             version: SCHEMA_VERSION,
             epoch: ticket,
@@ -2221,24 +1880,18 @@ impl World<'_> {
     }
 
     // ------------------------------------------------------------------
-    // Observation helpers (the world is exclusive, so cell locks below
-    // are always free — see the type docs)
+    // Observation helpers
     // ------------------------------------------------------------------
 
     pub(crate) fn shard_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|cell| !cell.lock().expect("slot cell poisoned").is_vacant())
-            .count()
+        self.slots.iter().filter(|slot| !slot.is_vacant()).count()
     }
 
     pub(crate) fn live_transactions(&self) -> usize {
         self.slots
             .iter()
-            .map(|cell| {
-                cell.lock()
-                    .expect("slot cell poisoned")
-                    .as_idle()
+            .map(|slot| {
+                slot.as_idle()
                     .map_or(0, |s| s.core.current_set().transactions().len())
             })
             .sum()
@@ -2246,20 +1899,18 @@ impl World<'_> {
 
     pub(crate) fn current_set(&self) -> TransactionSet {
         let mut transactions = Vec::new();
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
+        for slot in &self.slots {
             if let Some(shard) = slot.as_idle() {
                 transactions.extend(shard.core.current_set().transactions().iter().cloned());
             }
         }
-        TransactionSet::new(self.core.platforms.clone(), transactions)
+        TransactionSet::new(self.platforms.clone(), transactions)
             .expect("shard transactions reference the master platforms")
     }
 
     pub(crate) fn system(&self) -> System {
         let mut system = System::default();
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
+        for slot in &self.slots {
             if let Some(shard) = slot.as_idle() {
                 let part = shard.core.system();
                 for instance in &part.instances {
@@ -2273,8 +1924,7 @@ impl World<'_> {
 
     pub(crate) fn report(&self) -> SchedulabilityReport {
         let mut parts: Vec<SchedulabilityReport> = Vec::new();
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
+        for slot in &self.slots {
             if let Some(shard) = slot.as_idle() {
                 parts.push(shard.core.report());
             }
@@ -2293,19 +1943,15 @@ impl World<'_> {
         let _ = writeln!(
             out,
             "epoch={} admitted={} rejected={} next_id={}",
-            self.core.settled,
-            self.core.admitted_epochs,
-            self.core.rejected_epochs,
-            self.core.next_id
+            self.settled, self.admitted_epochs, self.rejected_epochs, self.next_id
         );
-        for (id, platform) in self.core.platforms.iter() {
+        for (id, platform) in self.platforms.iter() {
             let _ = writeln!(out, "platform {id} {platform}");
         }
         let set = self.current_set();
         let report = self.report();
         for (i, tx) in set.transactions().iter().enumerate() {
             let id = self
-                .core
                 .ids
                 .get(&tx.name)
                 .map(|id| id.to_string())
@@ -2366,8 +2012,7 @@ impl World<'_> {
         let mut origin: HashMap<String, String> = HashMap::new();
         let mut instances = Vec::new();
         let mut txns = Vec::new();
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
+        for slot in &self.slots {
             if let Some(shard) = slot.as_idle() {
                 let part = shard.core.system();
                 for instance in &part.instances {
@@ -2383,26 +2028,24 @@ impl World<'_> {
                 }
             }
         }
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
+        for slot in &self.slots {
             if let Some(shard) = slot.as_idle() {
                 for tx in shard.core.current_set().transactions() {
                     txns.push(snapshot::SnapshotTxn {
                         origin: origin.get(&tx.name).cloned(),
-                        id: self.core.ids.get(&tx.name).map(|id| id.0),
+                        id: self.ids.get(&tx.name).map(|id| id.0),
                         tx: tx.clone(),
                     });
                 }
             }
         }
         Snapshot {
-            epoch: self.core.settled,
-            admitted: self.core.admitted_epochs,
-            rejected: self.core.rejected_epochs,
-            next_id: self.core.next_id,
+            epoch: self.settled,
+            admitted: self.admitted_epochs,
+            rejected: self.rejected_epochs,
+            next_id: self.next_id,
             digest: digest.to_string(),
             platforms: self
-                .core
                 .platforms
                 .iter()
                 .filter(|(_, p)| matches!(p.model(), hsched_platform::ServiceModel::Linear(_)))
@@ -2437,9 +2080,10 @@ impl Core {
         self.retired_stats.warm_epochs += s.warm_epochs;
     }
 
-    /// Brings a shard's platform-set copy up to date with the master
-    /// (shards checked out during a sibling's retune epoch sync lazily at
-    /// their next checkout).
+    /// Brings a shard's platform-set copy up to date with the master.
+    /// Settle only updates the master, so every shard syncs here, lazily,
+    /// at its next checkout or merge — and only this sync may advance a
+    /// shard's version.
     pub(crate) fn sync_shard_platforms(&self, shard: &mut Shard) -> Result<(), EngineError> {
         if shard.platforms_version == self.platforms_version {
             return Ok(());

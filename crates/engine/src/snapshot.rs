@@ -42,7 +42,6 @@ use crate::journal::{
     decode_request, encode_request, esc, next_rational, next_token, next_usize, unesc,
 };
 use crate::service::{SchedService, Slot};
-use crate::stripes::name_stripe;
 use hsched_admission::{AdmissionPolicy, AdmissionRequest};
 use hsched_analysis::AnalysisConfig;
 use hsched_model::{ComponentClass, ComponentInstance, NodeId};
@@ -297,20 +296,20 @@ pub(crate) fn rebuild(
     let set = TransactionSet::new(platforms, transactions).map_err(&fail)?;
     let service = SchedService::new(set, config, policy)?;
     {
-        let mut world = service.rebuild_world();
+        let mut core = service.lock_core();
         // Handles: replace the seed-order minting with the recorded table.
-        world.core.ids.clear();
-        world.core.names.clear();
+        core.ids.clear();
+        core.names.clear();
         for txn in &snap.txns {
             if let Some(id) = txn.id {
-                world.core.ids.insert(txn.tx.name.clone(), TxnId(id));
-                world.core.names.insert(TxnId(id), txn.tx.name.clone());
+                core.ids.insert(txn.tx.name.clone(), TxnId(id));
+                core.names.insert(TxnId(id), txn.tx.name.clone());
             }
         }
-        world.core.next_id = snap.next_id;
-        world.core.settled = snap.epoch;
-        world.core.admitted_epochs = snap.admitted;
-        world.core.rejected_epochs = snap.rejected;
+        core.next_id = snap.next_id;
+        core.settled = snap.epoch;
+        core.admitted_epochs = snap.admitted;
+        core.rejected_epochs = snap.rejected;
 
         // Instances: re-attach to the owning shards with their members.
         for instance in &snap.instances {
@@ -320,24 +319,21 @@ pub(crate) fn rebuild(
                 .filter(|t| t.origin.as_deref() == Some(instance.name.as_str()))
                 .map(|t| t.tx.name.clone())
                 .collect();
-            let home_of = |world: &crate::service::World<'_>, m: &str| -> Option<usize> {
-                world.names[name_stripe(m)].txn_home.get(m).copied()
-            };
-            let Some(slot) = members.first().and_then(|m| home_of(&world, m)) else {
+            let Some(&slot) = members.first().and_then(|m| core.txn_home.get(m)) else {
                 return Err(fail(format!(
                     "instance `{}` has no live member transactions",
                     instance.name
                 )));
             };
             for member in &members {
-                if home_of(&world, member) != Some(slot) {
+                if core.txn_home.get(member) != Some(&slot) {
                     return Err(fail(format!(
                         "instance `{}` spans shards — snapshot is inconsistent",
                         instance.name
                     )));
                 }
             }
-            let Slot::Idle(shard) = world.slot_mut(slot) else {
+            let Slot::Idle(shard) = &mut core.slots[slot] else {
                 return Err(fail("shard busy during rebuild".into()));
             };
             shard
@@ -353,12 +349,10 @@ pub(crate) fn rebuild(
                     &members,
                 )
                 .map_err(&fail)?;
-            world.names[name_stripe(&instance.name)]
-                .instance_home
-                .insert(instance.name.clone(), slot);
+            core.instance_home.insert(instance.name.clone(), slot);
         }
 
-        let digest = world.state_digest();
+        let digest = core.state_digest();
         if digest != snap.digest {
             return Err(EngineError::Replay(format!(
                 "snapshot digest mismatch: recorded {}, rebuilt {digest}",

@@ -4,9 +4,8 @@
 //! engine's sync facade (`crates/engine/src/sync.rs`) swaps `std::sync`
 //! for the instrumented shims in `hsched-check`: every test below runs
 //! its scenario under exhaustive bounded exploration, with lock-order
-//! validation against the documented stripe → slot → core → gate
-//! partial order, vector-clock race detection over the `issued` /
-//! `platforms_version` / `poison_present` atomics, and deadlock
+//! validation against the documented core → gate order, vector-clock
+//! race detection over the `issued` ticket counter, and deadlock
 //! detection that turns a missed wakeup into a named report instead of
 //! a hung test.
 //!
@@ -50,6 +49,31 @@ fn tiny_set(vacant_platform: bool) -> TransactionSet {
         platforms.add(Platform::dedicated("p2"));
     }
     TransactionSet::new(platforms, vec![tx("a", p0), tx("b", p1)]).expect("valid set")
+}
+
+/// One transaction with a task on each of p0 and p1: its arrival bridges
+/// the two islands, so routing merges their shards.
+fn bridge(name: &str) -> Transaction {
+    let task = |platform: usize| {
+        Task::new(
+            format!("{name}.t{platform}"),
+            rat(1, 1),
+            rat(1, 1),
+            1,
+            PlatformId(platform),
+        )
+    };
+    Transaction::new(name, rat(100, 1), rat(100, 1), vec![task(0), task(1)])
+        .expect("valid transaction")
+}
+
+fn retune(platform: usize) -> EngineRequest {
+    EngineRequest::batch(vec![AdmissionRequest::Retune {
+        platform: PlatformId(platform),
+        alpha: rat(1, 2),
+        delta: rat(1, 1),
+        beta: rat(0, 1),
+    }])
 }
 
 fn arrival(name: &str, platform: usize) -> EngineRequest {
@@ -117,9 +141,9 @@ fn contended_fast_attempts_never_miss_a_gate_wakeup() {
 }
 
 /// Busy-checkout conflict: both epochs route to the same island, so one
-/// finds the shard checked out, rolls its reservation back, and retries
-/// against the next gate generation. Every interleaving must settle
-/// both epochs exactly once.
+/// finds the shard checked out, waits on the conflict condvar over the
+/// routing lock, and retries after the other settles. Every interleaving
+/// must settle both epochs exactly once.
 #[test]
 fn busy_checkout_conflict_rolls_back_and_retries() {
     let stats = explore(&model_config(), || {
@@ -135,16 +159,16 @@ fn busy_checkout_conflict_rolls_back_and_retries() {
     assert_clean("busy_checkout", &stats);
 }
 
-/// Exclusive-path drain racing an in-flight fast epoch: the arrival on
-/// the vacant platform changes shard topology, so it must register as a
-/// writer, gate new fast reservations off, and drain the pipeline
-/// before locking the world — while the fast epoch settles under it.
+/// Drain racing an in-flight epoch: the arrival on the vacant platform
+/// changes shard topology, so it must register as a drain, hold new
+/// reservations off, and wait for the pipeline to empty before routing —
+/// while the other epoch settles under it.
 #[test]
 fn exclusive_drain_coexists_with_in_flight_fast_epochs() {
     let stats = explore(&model_config(), || {
         let service = service(tiny_set(true));
         thread::scope(|s| {
-            // Fresh shard on p2: fast fallback -> exclusive drain.
+            // Fresh shard on p2: routed, then drained.
             let h = s.spawn(|| service.submit(&arrival("c", 2)).map(|r| r.epoch));
             service.submit(&arrival("d", 0)).expect("fast epoch");
             h.join().expect("no panic").expect("exclusive epoch");
@@ -189,4 +213,34 @@ fn failed_sync_poisons_every_group_commit_waiter() {
     });
     let _ = std::fs::remove_file(&path);
     assert_clean("sync_poison", &stats);
+}
+
+/// Concurrent retunes on disjoint islands, then a merge. Each retune
+/// lands in the master platform copy only; a shard that was checked out
+/// while its sibling's retune settled must catch that retune up lazily
+/// before the bridging arrival merges the two shards. A shard stamped
+/// current without the sibling's retune fails the merge (`cannot merge
+/// controllers with different platform sets`) in some interleaving.
+#[test]
+fn concurrent_retunes_then_merge_keep_shard_platforms_in_sync() {
+    let stats = explore(&model_config(), || {
+        let service = service(tiny_set(false)).with_max_inflight(2);
+        thread::scope(|s| {
+            let h = s.spawn(|| service.submit(&retune(0)).map(|r| r.epoch));
+            service.submit(&retune(1)).expect("retune p1");
+            h.join().expect("no panic").expect("retune p0");
+        });
+        let merged = service
+            .submit(&EngineRequest::batch(vec![
+                AdmissionRequest::AddTransaction(bridge("e")),
+            ]))
+            .expect("bridging arrival merges the retuned shards");
+        assert!(merged.outcome.verdict.admitted());
+        assert_eq!(service.shard_count(), 1);
+        let platforms = service.current_set().platforms().clone();
+        for p in [0, 1] {
+            assert_eq!(platforms[PlatformId(p)].alpha(), rat(1, 2));
+        }
+    });
+    assert_clean("retune_merge", &stats);
 }

@@ -1,9 +1,9 @@
 //! The sharded engine's two contracts, property-tested:
 //!
 //! (a) **equivalence** — driving the same churn stream through the sharded
-//!     `AdmissionRouter` and the single `AdmissionController` produces the
+//!     `SchedService` and the single `AdmissionController` produces the
 //!     same admit/reject verdict every epoch and the same live state and
-//!     analysis results (content-wise; the router is free to order its
+//!     analysis results (content-wise; the service is free to order its
 //!     aggregate set by shard), and both agree with a from-scratch
 //!     `analyze_with` oracle — across ≥100 generated multi-island churn
 //!     scenarios;
@@ -16,7 +16,7 @@
 use hsched_admission::gen::{random_scenario, ChurnGen, ScenarioSpec};
 use hsched_admission::{AdmissionController, AdmissionPolicy};
 use hsched_analysis::{analyze_with, AnalysisConfig, TaskResult, TransactionVerdict};
-use hsched_engine::{AdmissionRouter, EngineRequest};
+use hsched_engine::{EngineRequest, SchedService};
 use hsched_numeric::rat;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -54,8 +54,8 @@ fn equivalence_session(seed: u64, clusters: usize, batches: usize, max_batch: us
     let policy = AdmissionPolicy::default();
     let mut single = AdmissionController::new(set.clone(), config.clone(), policy.clone())
         .unwrap_or_else(|e| panic!("seed {seed}: controller seed failed: {e}"));
-    let mut router = AdmissionRouter::new(set, config.clone(), policy)
-        .unwrap_or_else(|e| panic!("seed {seed}: router seed failed: {e}"));
+    let service = SchedService::new(set, config.clone(), policy)
+        .unwrap_or_else(|e| panic!("seed {seed}: service seed failed: {e}"));
     // Feed the generator from the single controller's set so both engines
     // see the *identical* request stream (the generator picks departure
     // victims by index).
@@ -64,28 +64,28 @@ fn equivalence_session(seed: u64, clusters: usize, batches: usize, max_batch: us
     for step in 0..batches {
         let batch = churn.next_batch(single.current_set(), max_batch);
         let single_outcome = single.commit(&batch);
-        let response = router
-            .commit(&EngineRequest::batch(batch.clone()))
+        let response = service
+            .submit(&EngineRequest::batch(batch.clone()))
             .unwrap_or_else(|e| panic!("seed {seed} step {step}: engine error: {e}"));
 
         assert_eq!(
             response.outcome.verdict.admitted(),
             single_outcome.verdict.admitted(),
-            "seed {seed} step {step}: verdicts diverged (router: {}, single: {})",
+            "seed {seed} step {step}: verdicts diverged (service: {}, single: {})",
             response.outcome.verdict,
             single_outcome.verdict
         );
         assert_eq!(response.epoch, single.epoch(), "seed {seed} step {step}");
 
         // Same live population, content-wise.
-        let router_set = router.current_set();
+        let service_set = service.current_set();
         let single_set = single.current_set();
         assert_eq!(
-            router_set.platforms(),
+            service_set.platforms(),
             single_set.platforms(),
             "seed {seed} step {step}"
         );
-        let mut router_names: Vec<&str> = router_set
+        let mut service_names: Vec<&str> = service_set
             .transactions()
             .iter()
             .map(|t| t.name.as_str())
@@ -95,10 +95,10 @@ fn equivalence_session(seed: u64, clusters: usize, batches: usize, max_batch: us
             .iter()
             .map(|t| t.name.as_str())
             .collect();
-        router_names.sort_unstable();
+        service_names.sort_unstable();
         single_names.sort_unstable();
-        assert_eq!(router_names, single_names, "seed {seed} step {step}");
-        for tx in router_set.transactions() {
+        assert_eq!(service_names, single_names, "seed {seed} step {step}");
+        for tx in service_set.transactions() {
             let i = single_set
                 .transaction_index(&tx.name)
                 .expect("name present in both");
@@ -112,31 +112,31 @@ fn equivalence_session(seed: u64, clusters: usize, batches: usize, max_batch: us
 
         // Same analysis results, matched by name; and — when admitted —
         // both equal the from-scratch oracle.
-        let router_report = router.report();
+        let service_report = service.report();
         let single_report = single.report();
-        let router_view = by_name(
-            router_set.transactions().iter().map(|t| t.name.clone()),
-            &router_report.tasks,
-            &router_report.verdicts,
+        let service_view = by_name(
+            service_set.transactions().iter().map(|t| t.name.clone()),
+            &service_report.tasks,
+            &service_report.verdicts,
         );
         let single_view = by_name(
             single_set.transactions().iter().map(|t| t.name.clone()),
             &single_report.tasks,
             &single_report.verdicts,
         );
-        assert_eq!(router_view, single_view, "seed {seed} step {step}");
+        assert_eq!(service_view, single_view, "seed {seed} step {step}");
         assert_eq!(
-            router.schedulable(),
+            service.schedulable(),
             single.schedulable(),
             "seed {seed} step {step}"
         );
 
         if single_outcome.verdict.admitted() {
-            let fresh = analyze_with(&router_set, &config)
+            let fresh = analyze_with(&service_set, &config)
                 .unwrap_or_else(|e| panic!("seed {seed} step {step}: oracle failed: {e}"));
-            assert_eq!(router_report.tasks, fresh.tasks, "seed {seed} step {step}");
+            assert_eq!(service_report.tasks, fresh.tasks, "seed {seed} step {step}");
             assert_eq!(
-                router_report.verdicts, fresh.verdicts,
+                service_report.verdicts, fresh.verdicts,
                 "seed {seed} step {step}"
             );
         }
@@ -146,7 +146,7 @@ fn equivalence_session(seed: u64, clusters: usize, batches: usize, max_batch: us
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(70))]
 
-    /// Multi-island scenarios (4 clusters): router == single == oracle.
+    /// Multi-island scenarios (4 clusters): service == single == oracle.
     #[test]
     fn router_matches_single_controller_multi_island(seed in 0u64..10_000) {
         equivalence_session(seed, 4, 4, 3);
@@ -187,8 +187,8 @@ fn crash_replay_session(seed: u64, cut_fraction: (u64, u64)) {
         cut_fraction.1
     ));
 
-    let mut engine = AdmissionRouter::new(set.clone(), config.clone(), policy.clone())
-        .unwrap_or_else(|e| panic!("seed {seed}: router seed failed: {e}"))
+    let engine = SchedService::new(set.clone(), config.clone(), policy.clone())
+        .unwrap_or_else(|e| panic!("seed {seed}: service seed failed: {e}"))
         .with_journal(&path)
         .unwrap();
     let mut churn = ChurnGen::new(&spec, seed.wrapping_mul(0x517c_c1b7).wrapping_add(3));
@@ -197,7 +197,7 @@ fn crash_replay_session(seed: u64, cut_fraction: (u64, u64)) {
     for _ in 0..5 {
         let batch = churn.next_batch(&engine.current_set(), 3);
         engine
-            .commit(&EngineRequest::batch(batch))
+            .submit(&EngineRequest::batch(batch))
             .unwrap_or_else(|e| panic!("seed {seed}: engine error: {e}"));
         digests.push(engine.state_digest());
     }
@@ -209,7 +209,7 @@ fn crash_replay_session(seed: u64, cut_fraction: (u64, u64)) {
     let cut = cut.clamp(40, bytes.len()); // keep the header intact
     std::fs::write(&path, &bytes[..cut]).unwrap();
 
-    let (replayed, stats) = AdmissionRouter::replay(set, config, policy, &path)
+    let (replayed, stats) = SchedService::replay(set, config, policy, &path)
         .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: replay failed: {e}"));
     let epochs = stats.tail_records;
     assert!(epochs <= 5, "seed {seed}");
@@ -219,10 +219,9 @@ fn crash_replay_session(seed: u64, cut_fraction: (u64, u64)) {
         "seed {seed} cut {cut}: replayed engine diverged from the reference after {epochs} epochs"
     );
     // The repaired journal must keep serving: one more epoch appends fine.
-    let mut replayed = replayed;
     let batch = churn.next_batch(&replayed.current_set(), 2);
     replayed
-        .commit(&EngineRequest::batch(batch))
+        .submit(&EngineRequest::batch(batch))
         .unwrap_or_else(|e| panic!("seed {seed}: post-replay commit failed: {e}"));
     let _ = std::fs::remove_file(&path);
 }

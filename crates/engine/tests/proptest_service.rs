@@ -615,10 +615,10 @@ fn cross_island_overflow_parity_matches_single_controller() {
 
 /// One *overlapping* concurrent session: every thread churns over the
 /// same shared name pool and the same clusters, so concurrent batches
-/// collide on name stripes, platform stripes, and shard slots constantly.
-/// Structural rejections (duplicate adds, removes of departed names) are
-/// expected — each is a valid journal record. The contract under fire is
-/// the striped fast path's conflict handling: the journal must still be a
+/// collide on claimed names, claimed platforms, and shard slots
+/// constantly. Structural rejections (duplicate adds, removes of departed
+/// names) are expected — each is a valid journal record. The contract
+/// under fire is reserve's conflict handling: the journal must still be a
 /// consecutive-ticket serialization whose serial replay is byte-identical.
 fn contention_session(seed: u64, threads: usize, batches: usize) {
     let spec = spec_for(seed, 2);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Scripted perf run for the concurrent admission service: regenerates
 # BENCH_service.json (8 concurrent clients through SchedService::submit
-# vs the same journaled epoch stream through the serial AdmissionRouter
-# front end, on the 3072-transaction / 384-cluster churn workload's
+# vs the same journaled epoch stream through a serial front end (one
+# client thread at pipeline depth 1), on the 3072-transaction / 384-cluster churn workload's
 # smallest disjoint islands). The binary asserts the concurrent service
 # clearly beats the serial front end, so this doubles as a perf
 # regression gate. CI runs it on every push; commit the refreshed JSON
